@@ -10,6 +10,7 @@ the files share one schema and stay comparable across commits::
       "entries": [
         {
           "timestamp": "...",            # UTC, seconds precision
+          "commit": {"rev": "abc1234", "dirty": false},   # git HEAD of the run
           "machine": {"python": ..., "platform": ..., "machine": ..., "cpus": ...},
           "params": {...},               # workload shape: sizes, counts, seeds
           "metrics": {...}               # measured numbers: seconds, qps, speedups
@@ -26,9 +27,11 @@ are preserved verbatim (they lack the ``params`` / ``metrics`` nesting).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import platform
+import subprocess
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Mapping
@@ -45,6 +48,40 @@ def machine_info() -> dict[str, Any]:
         "platform": platform.system(),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
+    }
+
+
+@functools.lru_cache(maxsize=1)
+def commit_info() -> dict[str, Any]:
+    """``git rev-parse --short HEAD`` plus whether the tree had local changes.
+
+    What makes an entry attributable: a number recorded from a dirty tree
+    belongs to no commit.  The result files themselves are left out of the
+    dirty check — every bench run rewrites them — and the answer is taken
+    once per process.  Outside a git checkout both fields are ``None``.
+    """
+
+    def git(*args: str) -> str | None:
+        try:
+            done = subprocess.run(
+                ["git", *args],
+                cwd=Path(__file__).parent,
+                capture_output=True,
+                text=True,
+                timeout=10,
+                check=True,
+            )
+        except (OSError, subprocess.SubprocessError):
+            return None
+        return done.stdout
+
+    rev = git("rev-parse", "--short", "HEAD")
+    status = git(
+        "status", "--porcelain", "--", ":(top)", ":(top,exclude)benchmarks/results"
+    )
+    return {
+        "rev": rev.strip() if rev else None,
+        "dirty": None if status is None else bool(status.strip()),
     }
 
 
@@ -94,6 +131,7 @@ def record_bench(
     history["schema_version"] = SCHEMA_VERSION
     entry = {
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "commit": commit_info(),
         "machine": machine_info(),
         "params": dict(params),
         "metrics": dict(metrics),

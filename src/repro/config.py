@@ -27,7 +27,6 @@ __all__ = [
     "SamplingConfig",
     "NetworkConfig",
     "SMCConfig",
-    "ParallelismConfig",
     "ResilienceConfig",
     "ExecutionConfig",
     "CacheConfig",
@@ -229,82 +228,15 @@ class SMCConfig:
 
 
 @dataclass(frozen=True)
-class ParallelismConfig:
-    """Aggregator-side fan-out across providers during batch execution.
-
-    When enabled, the aggregator dispatches the per-provider batch phases
-    (summary preparation and local answering) to a worker pool.  Each provider
-    owns its own RNG derivation tree, so results are bit-identical with and
-    without parallelism; only wall-clock changes.
-
-    Attributes
-    ----------
-    enabled:
-        Master switch; disabled means strictly sequential fan-out.
-    max_workers:
-        Pool size cap (``None`` means one worker per provider).
-    backend:
-        ``"thread"`` (default) runs the per-provider phases on a thread
-        pool inside the aggregator process — cheap, but mask/reduction
-        kernels still contend for the GIL between numpy calls.
-        ``"process"`` hosts each provider in a persistent worker process:
-        the provider's column buffers are exported once into
-        :mod:`multiprocessing.shared_memory` and only the compact protocol
-        messages cross process boundaries per batch, so multi-provider
-        federations scale past the GIL.  Both backends are bit-identical
-        to sequential execution under the same seed.
-    injected_faults:
-        Optional :class:`~repro.testing.faults.FaultSchedule` of scripted
-        failures (chaos testing).  ``None`` — the default — injects
-        nothing and leaves every hot path untouched.  With a schedule
-        installed, the owning aggregator consumes it deterministically:
-        the same schedule and system seed replay the same failure trace
-        bit-identically on every backend.
-    """
-
-    enabled: bool = False
-    max_workers: int | None = None
-    backend: str = "thread"
-    injected_faults: FaultSchedule | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_workers is not None:
-            _require(
-                self.max_workers >= 1,
-                f"max_workers must be >= 1, got {self.max_workers}",
-            )
-        _require(
-            self.backend in ("thread", "process"),
-            f'backend must be "thread" or "process", got {self.backend!r}',
-        )
-        if self.injected_faults is not None:
-            _require(
-                isinstance(self.injected_faults, FaultSchedule),
-                "injected_faults must be a FaultSchedule or None, got "
-                f"{type(self.injected_faults).__name__}",
-            )
-
-    def with_faults(self, injected_faults: FaultSchedule | None) -> "ParallelismConfig":
-        """Return a copy with a different (or no) fault schedule."""
-        return replace(self, injected_faults=injected_faults)
-
-    def resolve_workers(self, num_providers: int) -> int:
-        """Number of pool workers to use for ``num_providers`` providers."""
-        if self.max_workers is None:
-            return max(1, num_providers)
-        return max(1, min(self.max_workers, num_providers))
-
-
-@dataclass(frozen=True)
 class ResilienceConfig:
     """Graceful-degradation policy of the federated drain path.
 
     Disabled (the default), any provider failure fails the whole batch
     exactly as before — the seed behaviour.  Enabled, the aggregator
-    retries failed provider phase calls with bounded backoff, respawns
-    dead process-pool workers from their existing shared-memory blocks,
-    quarantines providers that keep failing, and settles the batch with
-    **partial** answers: the per-query results carry ``degraded`` /
+    retries failed provider phase calls with bounded backoff (the process
+    carrier respawns a dead worker from its existing shared-memory blocks
+    on the retry), quarantines providers that keep failing, and settles the
+    batch with **partial** answers: the per-query results carry ``degraded`` /
     ``providers_missing`` and are charged exactly what the surviving (and
     partially-released) providers actually spent.
 
@@ -313,11 +245,12 @@ class ResilienceConfig:
     enabled:
         Master switch for graceful degradation.
     provider_timeout_seconds:
-        How long the process backend waits for one provider's phase reply
-        before declaring the worker hung and killing it (``None`` waits
-        forever — hangs then behave like the seed).  Serial and thread
-        backends cannot preempt an in-process provider; injected hangs
-        are accounted as immediate timeouts there.
+        How long the socket and process carriers wait for one provider's
+        phase reply before giving the connection up — the process carrier
+        kills the hung worker (``None`` waits forever).  It applies whether
+        or not degradation is enabled.  The in-process and loopback
+        carriers cannot preempt a provider; injected hangs are accounted
+        as immediate timeouts there.
     max_retries:
         Failed phase calls per provider and batch retried at most this
         many times (0 disables retry).
@@ -329,10 +262,6 @@ class ResilienceConfig:
         quarantined — skipped outright (reported missing) by later
         batches until :meth:`~repro.federation.aggregator.Aggregator.reinstate`.
         ``None`` never quarantines.
-    respawn_workers:
-        Whether the process pool may respawn a dead worker from the
-        provider's existing shared-memory blocks (RNG checkpoint +
-        summary replay keep the respawn bit-identical).
     min_providers:
         Fewest surviving providers a batch may settle with; fewer fails
         the batch (and the drain) outright.
@@ -343,7 +272,6 @@ class ResilienceConfig:
     max_retries: int = 1
     retry_backoff_seconds: float = 0.0
     quarantine_after: int | None = 3
-    respawn_workers: bool = True
     min_providers: int = 1
 
     def __post_init__(self) -> None:
@@ -517,8 +445,8 @@ class ServiceConfig:
         Depth of the dispatch pipeline: how many coalesced batches may be
         queued on the dispatcher worker at once.  Batch *execution* is FIFO
         on that single worker (the federation's providers are a shared,
-        stateful resource; intra-batch parallelism comes from
-        :class:`ParallelismConfig`); the look-ahead lets settlement —
+        stateful resource; intra-batch parallelism comes from the
+        ``"process"`` transport carrier); the look-ahead lets settlement —
         wallet charging and answer routing — of completed batches overlap
         the execution of later ones.
     admission:
@@ -693,9 +621,12 @@ class TransportConfig:
     ----------
     kind:
         ``"inprocess"`` (direct calls, the default), ``"loopback"`` (full
-        serialize/frame/deserialize round trip without sockets), or
+        serialize/frame/deserialize round trip without sockets),
         ``"socket"`` (asyncio TCP on localhost with length-prefixed
-        framing).  All three are bit-identical under a fixed seed; see
+        framing), or ``"process"`` (one persistent worker process per
+        provider over shared-memory column buffers; release its workers
+        with the system's ``close()`` / context manager).  All four are
+        bit-identical under a fixed seed; see
         :mod:`repro.federation.transport`.
     shard_workers:
         Target number of shards each logical provider's table is split
@@ -718,9 +649,9 @@ class TransportConfig:
 
     def __post_init__(self) -> None:
         _require(
-            self.kind in ("inprocess", "loopback", "socket"),
-            f"transport kind must be 'inprocess', 'loopback', or 'socket', "
-            f"got {self.kind!r}",
+            self.kind in ("inprocess", "loopback", "socket", "process"),
+            f"transport kind must be 'inprocess', 'loopback', 'socket', or "
+            f"'process', got {self.kind!r}",
         )
         _require(
             self.shard_workers >= 1,
@@ -792,7 +723,15 @@ class ObservabilityConfig:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Top-level configuration of the federated AQP system."""
+    """Top-level configuration of the federated AQP system.
+
+    ``injected_faults`` is an optional
+    :class:`~repro.testing.faults.FaultSchedule` of scripted failures
+    (chaos testing).  ``None`` — the default — injects nothing and leaves
+    every hot path untouched.  With a schedule installed, the aggregator
+    consumes it deterministically: the same schedule and system seed
+    replay the same failure trace bit-identically on every transport.
+    """
 
     cluster_size: int = 1000
     num_providers: int = 4
@@ -800,7 +739,6 @@ class SystemConfig:
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
     network: NetworkConfig = field(default_factory=NetworkConfig)
     smc: SMCConfig = field(default_factory=SMCConfig)
-    parallelism: ParallelismConfig = field(default_factory=ParallelismConfig)
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)
     cache: CacheConfig = field(default_factory=CacheConfig)
@@ -810,6 +748,7 @@ class SystemConfig:
     observability: ObservabilityConfig = field(default_factory=ObservabilityConfig)
     use_smc_for_result: bool = False
     seed: int | None = None
+    injected_faults: FaultSchedule | None = None
 
     def __post_init__(self) -> None:
         _require(self.cluster_size >= 1, f"cluster_size must be >= 1, got {self.cluster_size}")
@@ -817,10 +756,10 @@ class SystemConfig:
         if self.seed is not None:
             _require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
         _require(
-            self.transport.kind == "inprocess"
-            or not (self.parallelism.enabled and self.parallelism.backend == "process"),
-            "a serializing transport cannot be combined with the process "
-            "parallelism backend: the workers already hold the providers",
+            self.injected_faults is None
+            or isinstance(self.injected_faults, FaultSchedule),
+            "injected_faults must be a FaultSchedule or None, got "
+            f"{type(self.injected_faults).__name__}",
         )
 
     def with_privacy(self, privacy: PrivacyConfig) -> "SystemConfig":
@@ -838,10 +777,6 @@ class SystemConfig:
     def with_execution(self, execution: ExecutionConfig) -> "SystemConfig":
         """Return a copy with a different kernel execution policy."""
         return replace(self, execution=execution)
-
-    def with_parallelism(self, parallelism: ParallelismConfig) -> "SystemConfig":
-        """Return a copy with a different provider fan-out policy."""
-        return replace(self, parallelism=parallelism)
 
     def with_resilience(self, resilience: ResilienceConfig) -> "SystemConfig":
         """Return a copy with a different graceful-degradation policy."""

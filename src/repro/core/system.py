@@ -99,23 +99,21 @@ class FederatedAQPSystem:
             "network", lambda: self.aggregator.network.stats.as_dict()
         )
         registry.register_group(
-            "transport", lambda: self.aggregator.transport_stats.as_dict()
+            "transport",
+            lambda: {
+                **self.aggregator.transport_stats.as_dict(),
+                **self.aggregator.transport.carrier_stats,
+            },
         )
         registry.register_group("cache", lambda: self.cache_stats().as_dict())
         registry.register_group(
             "resilience", lambda: self.aggregator.resilience_stats.as_dict()
         )
-
-        def pool_stats() -> dict:
-            pool = self.aggregator._process_pool
-            return pool.stats.as_dict() if pool is not None else {}
-
-        def kernel_telemetry() -> dict:
-            pool = self.aggregator._process_pool
-            return pool.kernel_telemetry.as_dict() if pool is not None else {}
-
-        registry.register_group("procpool", pool_stats)
-        registry.register_group("kernel", kernel_telemetry)
+        # Kernel work reported back by endpoints outside this process
+        # (in-process kernels report to the caller's own collector).
+        registry.register_group(
+            "kernel", lambda: self.aggregator.transport.kernel_telemetry.as_dict()
+        )
 
     def observability(self) -> dict:
         """One unified snapshot over every layer's metrics, traces, and ledger.
@@ -151,7 +149,7 @@ class FederatedAQPSystem:
             One table per data provider (the horizontal partitioning).
         config:
             System-wide knobs (privacy split, sampling, network, cache,
-            parallelism); defaults to :class:`~repro.config.SystemConfig`.
+            transport); defaults to :class:`~repro.config.SystemConfig`.
         n_min:
             Per-provider approximation threshold ``N_min``; defaults to
             ``config.sampling.min_clusters_for_approximation``.
@@ -217,12 +215,12 @@ class FederatedAQPSystem:
     # -- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:
-        """Release process-backend workers and shared memory (idempotent).
+        """Release what the transport owns (idempotent).
 
-        Only needed when :class:`~repro.config.ParallelismConfig` uses the
-        ``"process"`` backend; a no-op otherwise.  The system remains usable
-        after ``close()`` — the next process-backed batch simply rebuilds
-        the worker pool.
+        Needed for the ``"process"`` carrier (worker processes, shared
+        memory) and the ``"socket"`` carrier (server thread, connections);
+        a no-op otherwise.  The system remains usable after ``close()`` —
+        the next batch simply builds a fresh transport.
         """
         self.aggregator.close()
 
@@ -340,8 +338,8 @@ class FederatedAQPSystem:
         except BaseException:
             # A batch that dies mid-protocol (e.g. worker crash beyond what
             # the resilience policy absorbs) must not leak the process
-            # backend's workers or shared-memory blocks: the aggregator's
-            # pool is torn down here and rebuilt lazily on the next batch.
+            # carrier's workers or shared-memory blocks: the aggregator's
+            # transport is torn down here and rebuilt on the next batch.
             self.aggregator.close()
             raise
         if self.end_user_budget is not None:
@@ -607,8 +605,8 @@ class FederatedAQPSystem:
         """Real framed wire traffic of the configured transport.
 
         All zeros for the default in-process transport (there is no wire);
-        for the loopback and socket transports the counters reflect actual
-        serialized frames, unlike the simulated network's cost model.
+        for the loopback, socket and process carriers the counters reflect
+        actual serialized frames, unlike the simulated network's cost model.
         """
         return self.aggregator.transport_stats
 
@@ -656,7 +654,7 @@ class PhasedExecution:
                 self.system.aggregator.collect_batch(self.phased)
         except BaseException:
             # Same teardown contract as execute_batch: a batch that dies
-            # mid-protocol must not leak the process backend's workers.
+            # mid-protocol must not leak the process carrier's workers.
             self.system.aggregator.close()
             raise
         self.wall_seconds += timer.elapsed

@@ -9,15 +9,16 @@ single Laplace noise calibrated with the maximum smooth sensitivity).
 
 :meth:`Aggregator.execute_batch` amortises the summary / allocation /
 estimate phases across a whole workload: each provider is contacted once per
-phase with every query of the batch, and the per-provider work can optionally
-fan out to a thread pool or to persistent per-provider worker processes over
-shared-memory column buffers (:class:`~repro.config.ParallelismConfig`; see
-:mod:`repro.federation.procpool` for the process backend).  The single-query
-:meth:`execute_query` is a batch of one, so both paths share one
-implementation and produce bit-identical results for the same seed.  An
-aggregator using the process backend owns worker processes and shared
-blocks — release them with :meth:`Aggregator.close` (or use the aggregator
-as a context manager).
+phase with every query of the batch, through the configured
+:mod:`~repro.federation.transport` carrier.  Each phase is *posted* to every
+provider before the first reply is awaited, so carriers whose endpoints run
+elsewhere (the ``"process"`` carrier's workers) overlap the per-provider
+work while in-process endpoints are simply called in order.  The
+single-query :meth:`execute_query` is a batch of one, so both paths share
+one implementation and produce bit-identical results for the same seed.  An
+aggregator whose transport owns resources (worker processes and shared
+blocks, sockets) releases them with :meth:`Aggregator.close` (or use the
+aggregator as a context manager).
 
 When the providers' release caches are enabled
 (:class:`~repro.config.CacheConfig`), the aggregator additionally tracks
@@ -29,12 +30,12 @@ pre-execution view of that split for budget admission.
 
 **Degradation.**  With :class:`~repro.config.ResilienceConfig` enabled, a
 provider that fails a phase — scripted chaos via
-:attr:`~repro.config.ParallelismConfig.injected_faults`, a dead or hung
-worker process — no longer fails the batch.  The aggregator retries with
-backoff (the process pool respawns lost workers from the existing
-shared-memory blocks), then drops the provider from the batch: allocation
-is re-solved over the survivors, the combined answers carry
-``degraded=True`` and the missing provider ids, and
+:attr:`~repro.config.SystemConfig.injected_faults`, a dead or hung
+worker process, a lost connection — no longer fails the batch.  The
+aggregator retries with backoff (the process carrier respawns a lost worker
+from the existing shared-memory blocks on the retry), then drops the
+provider from the batch: allocation is re-solved over the survivors, the
+combined answers carry ``degraded=True`` and the missing provider ids, and
 :meth:`_query_charge` prices each query from what was actually *released* —
 a provider that never delivered a phase contributes no spend, so the
 end-user charge stays exact under partial failure.  Providers that fail
@@ -46,7 +47,6 @@ failure raises :class:`~repro.errors.ProtocolError` exactly as before.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, TypeVar
@@ -78,7 +78,6 @@ from .messages import (
     SummaryMessage,
 )
 from .network import NetworkStats, SimulatedNetwork
-from .procpool import ProviderProcessPool
 from .provider import DataProvider, LocalAnswer
 from .smc import SMCSimulator
 from .transport import Transport, create_transport
@@ -86,6 +85,9 @@ from .transport import Transport, create_transport
 __all__ = ["Aggregator", "FederatedAnswer", "ResilienceStats"]
 
 _T = TypeVar("_T")
+
+_FAILED = object()
+"""What a guarded half of a provider call returns when it failed."""
 
 
 @dataclass(frozen=True)
@@ -134,9 +136,10 @@ class FederatedAnswer:
 class ResilienceStats:
     """Cumulative degradation counters for one aggregator.
 
-    Pool-level counters (respawns, timeouts) come from the process backend
-    and stay zero on the serial/thread backends, where a hang is simulated
-    as an immediate timeout instead.
+    ``workers_respawned`` comes from the process carrier and stays zero on
+    the others; ``worker_timeouts`` counts real reply timeouts (socket and
+    process carriers) plus injected hangs on carriers that can only
+    simulate them as an immediate timeout.
     """
 
     provider_failures: int = 0
@@ -217,24 +220,14 @@ class Aggregator:
         self._rng = derive_rng(self.rng, "aggregator")
         self._tracer = getattr(self.obs, "tracer", None)
         self._next_query_id = 0
-        self._process_pool: ProviderProcessPool | None = None
         self._batch_counter = 0
         self._fault_injector: FaultInjector | None = None
-        if self.config.parallelism.injected_faults is not None:
-            self._fault_injector = FaultInjector(self.config.parallelism.injected_faults)
+        if self.config.injected_faults is not None:
+            self._fault_injector = FaultInjector(self.config.injected_faults)
             # The network consults the same injector for message faults, so
             # one schedule drives one deterministic chaos run end to end.
             self.network.fault_injector = self._fault_injector
-        # Every provider-phase call goes through the configured transport —
-        # direct calls by default, a serializing wire otherwise.  The same
-        # injector supplies the transport's scripted faults.
-        self._transport: Transport = create_transport(
-            self.config.transport,
-            self.providers,
-            resilience=self.config.resilience,
-            tracer=self._tracer,
-        )
-        self._transport.fault_injector = self._fault_injector
+        self._transport = self._open_transport()
         self._consecutive_failures: dict[int, int] = {}
         self._quarantined: dict[int, str] = {}
         self._degraded_batches = 0
@@ -243,26 +236,37 @@ class Aggregator:
         self._worker_timeouts = 0
         for provider in self.providers:
             # Eager invalidation: a provider re-clustering (rebuild_layout or
-            # compaction) immediately tears down the process-pool workers and
-            # their shared-memory snapshots of the dead layout, instead of
-            # waiting for the lazy epoch-tuple check on the next batch.
+            # compaction) immediately tells the transport, so a carrier that
+            # hosts snapshots of the dead layout (worker processes over
+            # shared memory) tears them down now, not on the next batch.
             provider.subscribe_layout_change(self._on_provider_layout_change)
 
     def _on_provider_layout_change(self, _provider: DataProvider) -> None:
-        if self._process_pool is not None:
-            self._process_pool.close()
-            self._process_pool = None
+        self._transport.layout_changed()
+
+    def _open_transport(self) -> Transport:
+        """Build the configured transport, wired to this aggregator's injector.
+
+        Every provider-phase call goes through it — direct calls by
+        default, a wire otherwise.
+        """
+        transport = create_transport(
+            self.config.transport,
+            self.providers,
+            resilience=self.config.resilience,
+            tracer=self._tracer,
+        )
+        transport.fault_injector = self._fault_injector
+        return transport
 
     # -- lifecycle --------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down the process-backend workers and shared blocks (idempotent).
+        """Release what the transport owns — workers, shared blocks, sockets.
 
-        A no-op for the sequential and thread backends; safe to call always.
+        Idempotent, and a no-op for the in-process transport; safe to call
+        always.  The next batch builds a fresh transport.
         """
-        if self._process_pool is not None:
-            self._process_pool.close()
-            self._process_pool = None
         self._transport.close()
 
     def __enter__(self) -> "Aggregator":
@@ -270,30 +274,6 @@ class Aggregator:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    @property
-    def _use_process_backend(self) -> bool:
-        parallelism = self.config.parallelism
-        return parallelism.enabled and parallelism.backend == "process"
-
-    def _ensure_process_pool(self) -> ProviderProcessPool:
-        if self._process_pool is not None and (
-            self._process_pool.closed
-            or self._process_pool.layout_epochs
-            != tuple(provider.layout_epoch for provider in self.providers)
-        ):
-            # Closed: a previous batch's failure tore the workers down and
-            # a fresh pool must be built (returning the dead pool would wedge
-            # every later batch).  Epoch mismatch: a provider re-clustered
-            # since the workers snapshotted their layouts; rebuild so workers
-            # can never serve releases of a layout that no longer exists.
-            self._process_pool.close()
-            self._process_pool = None
-        if self._process_pool is None:
-            self._process_pool = ProviderProcessPool(
-                self.providers, self.config.parallelism, tracer=self._tracer
-            )
-        return self._process_pool
 
     # -- degradation introspection ----------------------------------------------
 
@@ -317,18 +297,14 @@ class Aggregator:
 
     @property
     def resilience_stats(self) -> ResilienceStats:
-        """Cumulative degradation counters (aggregator + process pool)."""
-        pool = self._process_pool
+        """Cumulative degradation counters (aggregator + transport carrier)."""
         return ResilienceStats(
-            provider_failures=self._provider_failures
-            + (pool.stats.provider_failures if pool is not None else 0),
-            provider_retries=self._provider_retries
-            + (pool.stats.provider_retries if pool is not None else 0),
+            provider_failures=self._provider_failures,
+            provider_retries=self._provider_retries,
             providers_quarantined=len(self._quarantined),
             degraded_batches=self._degraded_batches,
-            workers_respawned=pool.stats.workers_respawned if pool is not None else 0,
-            worker_timeouts=self._worker_timeouts
-            + (pool.stats.worker_timeouts if pool is not None else 0),
+            workers_respawned=self._transport.carrier_stats.get("workers_respawned", 0),
+            worker_timeouts=self._worker_timeouts,
         )
 
     @property
@@ -347,16 +323,12 @@ class Aggregator:
             # closed the aggregator to reclaim its resources (workers, shared
             # blocks, sockets).  Handing the dead wire out again would wedge
             # every later batch, so rebuild it — carrying the accumulated
-            # wire counters forward so traffic accounting stays cumulative.
-            stats = self._transport.snapshot_stats()
-            self._transport = create_transport(
-                self.config.transport,
-                self.providers,
-                resilience=self.config.resilience,
-                tracer=self._tracer,
-            )
-            self._transport.stats = stats
-            self._transport.fault_injector = self._fault_injector
+            # counters forward so accounting stays cumulative.
+            old = self._transport
+            self._transport = self._open_transport()
+            self._transport.stats = old.snapshot_stats()
+            self._transport.carrier_stats = old.carrier_stats
+            self._transport.kernel_telemetry = old.kernel_telemetry
         return self._transport
 
     @property
@@ -365,8 +337,9 @@ class Aggregator:
 
         Unlike :attr:`network`'s simulated cost model, these counters
         reflect actual serialized frames: ``messages`` counts frames,
-        ``bytes_sent`` counts framed bytes on the (loopback or socket)
-        wire, and ``frames_duplicated`` counts discarded duplicate replies.
+        ``bytes_sent`` counts framed bytes on the (loopback, socket or
+        pipe) wire, and ``frames_duplicated`` counts discarded duplicate
+        replies.
         """
         return self._transport.snapshot_stats()
 
@@ -560,10 +533,9 @@ class Aggregator:
                     self._check_survivors(answers, phased.failed, "answer")
         finally:
             # Providers must never accumulate per-query state, even when a
-            # phase fails between summary and answer.  With the process
-            # backend the sessions live in the workers, so the release is
-            # routed there too (the parent call is then a cheap no-op, and
-            # both forgets are idempotent for providers that never opened a
+            # phase fails between summary and answer.  The release goes
+            # through the transport, to wherever the sessions live (the
+            # forget is idempotent for providers that never opened a
             # session this batch).
             self._release_sessions(phased)
         phased.answers = answers
@@ -599,22 +571,15 @@ class Aggregator:
             return
         phased.sessions_released = True
         query_ids = [request.query_id for request in phased.requests]
-        for index, provider in enumerate(self.providers):
+        for index in range(len(self.providers)):
             try:
                 self._transport.forget_batch(index, query_ids)
             except TransportError:
-                # A broken wire must never leak sessions: the providers
-                # live in this process, so release them directly (the
-                # forget is idempotent either way).
-                provider.forget_batch(query_ids)
-        if self._process_pool is not None:
-            try:
-                self._process_pool.forget_batch(query_ids)
-            except ProtocolError:
-                # A dead or torn-down pool holds no sessions to leak;
-                # don't let the cleanup mask the phase's own exception.
-                self._process_pool.close()
-                self._process_pool = None
+                # A broken wire must never leak sessions, and the cleanup
+                # must not mask the phase's own exception: the carrier
+                # knows where its sessions live — in this process (release
+                # them directly) or in a worker (kill it; they die with it).
+                self._transport.drop_sessions(index, query_ids)
 
     def settle_batch(self, phased: PhasedBatch) -> list[FederatedAnswer]:
         """Combine a collected batch into per-query answers.
@@ -729,12 +694,12 @@ class Aggregator:
         Each non-empty partition is charged to the simulated network under
         the ``"ingest"`` traffic class (request scaling with the row count,
         plus a constant-size ack), so Figure-1-style communication
-        accounting of the query protocol stays untouched.  With the process
-        backend active, the append is mirrored onto the provider's worker
-        first, keeping both views of the buffer in lockstep; a compaction
-        triggered by the append bumps the provider's layout epoch, which
-        eagerly tears the worker pool down for a rebuild on the folded
-        state.
+        accounting of the query protocol stays untouched.  A transport that
+        hosts copies of the providers (the process carrier) mirrors the
+        append onto the provider's worker first, keeping both views of the
+        delta buffer in lockstep; a compaction triggered by the append bumps
+        the provider's layout epoch, which eagerly tears the workers down
+        for a rebuild on the folded state.
         """
         if len(partitions) != len(self.providers):
             raise ProtocolError(
@@ -758,8 +723,7 @@ class Aggregator:
                 num_columns=len(rows.schema.column_names),
             )
             self.network.send(request.payload_bytes(), message_class="ingest")
-            if self._process_pool is not None:
-                self._process_pool.ingest(index, rows)
+            self._transport.mirror_ingest(index, rows)
             receipt = provider.ingest_rows(rows)
             ack = IngestAck(
                 provider_id=provider.provider_id,
@@ -838,66 +802,57 @@ class Aggregator:
 
     # -- provider fan-out --------------------------------------------------------
 
-    def _map_indices(
-        self, indices: Sequence[int], task: Callable[[int, DataProvider], _T]
-    ) -> list[_T]:
-        """Apply ``task(index, provider)`` to the given providers, optionally pooled.
-
-        Index order is preserved.  Each provider owns an independent RNG
-        derivation tree, so the parallel and sequential fan-outs are
-        bit-identical; only wall-clock changes.
-        """
-        parallelism = self.config.parallelism
-        if not parallelism.enabled or len(indices) <= 1:
-            return [task(index, self.providers[index]) for index in indices]
-        workers = parallelism.resolve_workers(len(indices))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(
-                pool.map(lambda index: task(index, self.providers[index]), indices)
-            )
-
     def _fanout_resilient(
         self,
         phase: str,
         indices: Sequence[int],
-        task: Callable[[int, DataProvider, int], _T],
+        post: Callable[[int, int], Callable[[], _T]],
         failed: dict[int, str],
     ) -> dict[int, _T]:
-        """Serial/thread fan-out with scripted-fault handling and retry.
+        """Fan one phase out over the transport, with fault handling and retry.
 
-        In-process providers cannot genuinely crash or hang, so every
-        provider fault kind fails the attempt *before* the call runs (a
-        ``hang_worker`` counts as a simulated timeout).  Without resilience
-        a fired fault raises :class:`~repro.errors.InjectedFaultError`;
-        with it, failures retry up to ``max_retries`` times and then land
-        in ``failed``.
+        ``post(index, attempt)`` starts provider ``index``'s call through
+        the transport and returns the thunk that waits for its result.
+        Every call of an attempt is posted before the first is awaited, so
+        a carrier with endpoints in other processes overlaps them; the
+        others run each call inside ``post``, strictly in index order.
+        Each provider owns an independent RNG derivation tree, so both are
+        bit-identical.
 
-        ``task`` receives the attempt number as its third argument — the
-        transports key their scripted wire faults on it — and a
-        :class:`~repro.errors.TransportError` it raises is treated exactly
-        like a failed provider: retried with backoff, then degraded out.
-        Transport faults fire *before* the provider consumes randomness,
-        so a retried attempt is bit-identical to a never-faulted call.
+        A scripted provider fault is first offered to the transport
+        (:meth:`~repro.federation.transport.Transport.inject`), which may
+        make it happen for real; in-process providers cannot genuinely
+        crash or hang, so elsewhere the fault fails the attempt *before*
+        the call runs (a ``hang_worker`` counts as a simulated timeout).
+        Without resilience such a fault raises
+        :class:`~repro.errors.InjectedFaultError`; with it, failures retry
+        up to ``max_retries`` times and then land in ``failed``.  A
+        :class:`~repro.errors.TransportError` from either half of a call is
+        treated exactly like a failed provider.  Wire faults are keyed on
+        the attempt number and fire *before* the provider consumes
+        randomness, so a retried attempt is bit-identical to a
+        never-faulted call.
         """
         resilience = self.config.resilience
         degrade = resilience.enabled
         max_attempts = 1 + (resilience.max_retries if degrade else 0)
-        # The fan-out runs tasks on pool threads, which do not inherit this
-        # thread's contextvar — capture the phase span here and parent each
-        # per-provider attempt span explicitly.  A failed attempt's span is
-        # tagged with the error type, so retries are visible in the trace.
+        # Captured once: each per-provider attempt span is parented under
+        # the phase span explicitly.  A failed attempt's span is tagged with
+        # the error type, so retries are visible in the trace.  (On the
+        # process carrier the span covers the post; the worker's own
+        # provider span, parented under it, covers the work.)
         trace_parent = self._tracer.context() if self._tracer is not None else None
 
-        def traced(index: int, provider: DataProvider, attempt: int):
+        def traced_post(index: int, attempt: int) -> Callable[[], _T]:
             if trace_parent is None:
-                return task(index, provider, attempt)
+                return post(index, attempt)
             with self._tracer.span(
                 f"attempt.{phase}",
                 parent=trace_parent,
-                provider=provider.provider_id,
+                provider=self.providers[index].provider_id,
                 attempt=attempt,
             ):
-                return task(index, provider, attempt)
+                return post(index, attempt)
 
         results: dict[int, _T] = {}
         pending = list(indices)
@@ -912,7 +867,7 @@ class Aggregator:
                     if self._fault_injector is not None
                     else None
                 )
-                if fault is None:
+                if fault is None or self._transport.inject(index, fault):
                     runnable.append(index)
                     continue
                 if not degrade:
@@ -926,30 +881,30 @@ class Aggregator:
                 else:
                     failed_now[index] = f"injected {fault.kind}"
 
-            def guarded(
-                index: int, provider: DataProvider, _attempt: int = attempt
-            ) -> tuple[str, object]:
+            def guarded(index: int, half: Callable[[], object]) -> object:
+                """Run one half of a call; under resilience a wire failure
+                degrades (recorded in ``failed_now``, ``_FAILED`` returned)."""
                 try:
-                    return "ok", traced(index, provider, _attempt)
+                    return half()
                 except TransportTimeoutError as error:
                     if not degrade:
                         raise
-                    return "timeout", str(error)
+                    self._worker_timeouts += 1
+                    failed_now[index] = f"transport timeout: {error}"
                 except TransportError as error:
                     if not degrade:
                         raise
-                    return "transport", str(error)
+                    failed_now[index] = f"transport failure: {error}"
+                return _FAILED
 
-            for index, (outcome, value) in zip(
-                runnable, self._map_indices(runnable, guarded)
-            ):
-                if outcome == "ok":
+            waits = {
+                index: guarded(index, lambda: traced_post(index, attempt))
+                for index in runnable
+            }
+            for index, wait in waits.items():
+                value = wait if wait is _FAILED else guarded(index, wait)
+                if value is not _FAILED:
                     results[index] = value  # type: ignore[assignment]
-                elif outcome == "timeout":
-                    self._worker_timeouts += 1
-                    failed_now[index] = f"transport timeout: {value}"
-                else:
-                    failed_now[index] = f"transport failure: {value}"
             pending = sorted(failed_now)
             if not pending:
                 break
@@ -1060,24 +1015,12 @@ class Aggregator:
         for index, request in enumerate(requests):
             self._send(request.payload_bytes(), accounting[index], copies=len(active))
 
-        def collect(
-            index: int, _provider: DataProvider, attempt: int = 1
-        ) -> tuple[list[SummaryMessage], list[bool]]:
-            return self._transport.summary_batch(
+        def post(index: int, attempt: int):
+            return self._transport.post_summary(
                 index, requests, budget.epsilon_allocation, attempt=attempt
             )
 
-        if self._use_process_backend:
-            outcomes, pool_failures = self._ensure_process_pool().summary_batch(
-                requests,
-                budget.epsilon_allocation,
-                skip=frozenset(failed),
-                injector=self._fault_injector,
-                resilience=self.config.resilience,
-            )
-            failed.update(pool_failures)
-        else:
-            outcomes = self._fanout_resilient("summary", active, collect, failed)
+        outcomes = self._fanout_resilient("summary", active, post, failed)
         summaries = {index: messages for index, (messages, _) in outcomes.items()}
         reuse_flags = {index: reuse for index, (_, reuse) in outcomes.items()}
         for index in sorted(summaries):
@@ -1155,35 +1098,12 @@ class Aggregator:
 
         active = sorted(allocations)
 
-        def collect(
-            index: int, _provider: DataProvider, attempt: int = 1
-        ) -> tuple[list[LocalAnswer], list[bool]]:
-            return self._transport.answer_batch(
+        def post(index: int, attempt: int):
+            return self._transport.post_answer(
                 index, allocations[index], budget, use_smc, attempt=attempt
             )
 
-        if self._use_process_backend:
-            full = [
-                list(allocations.get(index, []))
-                for index in range(len(self.providers))
-            ]
-            skip = frozenset(
-                index
-                for index in range(len(self.providers))
-                if index not in allocations
-            )
-            outcomes, pool_failures = self._ensure_process_pool().answer_batch(
-                full,
-                budget,
-                use_smc,
-                skip=skip,
-                injector=self._fault_injector,
-                resilience=self.config.resilience,
-                trace_ctx=self._tracer.context() if self._tracer is not None else None,
-            )
-            failed.update(pool_failures)
-        else:
-            outcomes = self._fanout_resilient("answer", active, collect, failed)
+        outcomes = self._fanout_resilient("answer", active, post, failed)
         answers = {index: local_answers for index, (local_answers, _) in outcomes.items()}
         reuse_flags = {index: reuse for index, (_, reuse) in outcomes.items()}
         for index in sorted(answers):

@@ -40,7 +40,7 @@ class QueryRequest:
 
     ``trace_context`` carries the submitting span's ``(trace_id, span_id)``
     when tracing is enabled (see :mod:`repro.obs.trace`), so provider-side
-    spans — behind a socket transport or inside a process-pool worker —
+    spans — behind a socket transport or inside a worker process —
     land in the same trace as the aggregator's.  It is observability
     metadata, not protocol payload: it stays ``None`` with tracing off and
     is excluded from :meth:`payload_bytes`, so the simulated communication

@@ -15,7 +15,7 @@ query traffic.  The top-level counters remain the all-traffic totals.
 
 The network is also a fault-injection point: when the owning aggregator
 installs a :class:`~repro.testing.faults.FaultInjector` (see
-:attr:`~repro.config.ParallelismConfig.injected_faults`), a send may be hit
+:attr:`~repro.config.SystemConfig.injected_faults`), a send may be hit
 by a ``delay_message`` fault (extra simulated latency) or a ``drop_message``
 fault — the lost copy is charged, counted in ``messages_dropped``, and
 retransmitted once (counted in ``messages_retried``).  Drops and retries
@@ -140,7 +140,7 @@ class SimulatedNetwork:
     """Charges a latency/bandwidth cost for every message sent through it.
 
     ``fault_injector`` is installed by an aggregator whose
-    :class:`~repro.config.ParallelismConfig` carries a fault schedule;
+    :class:`~repro.config.SystemConfig` carries a fault schedule;
     ``None`` (the default) leaves every send untouched.
     """
 

@@ -1,167 +1,90 @@
-"""Process-parallel provider fan-out over shared-memory column buffers.
+"""Shared-memory hosting of providers in worker processes.
 
-The thread backend of :class:`~repro.config.ParallelismConfig` overlaps the
-per-provider batch phases inside one process; numpy releases the GIL inside
-its kernels but the Python glue between them still serialises, which caps
-multi-provider scaling.  The ``"process"`` backend lifts that ceiling by
-hosting each provider in a persistent worker process:
+The part of the ``"process"`` carrier
+(:class:`~repro.federation.transport.ProcessTransport`) that is about
+*where a provider lives*, not about how messages reach it:
 
-* at pool construction every provider's **table columns are exported once**
-  into :mod:`multiprocessing.shared_memory` blocks.  The worker attaches the
-  same blocks and rebuilds its clustered table, metadata, and layout from
-  them — the raw rows are never pickled and exist once in memory;
-* per batch, only the compact protocol messages (requests, allocations,
-  summaries, estimates) cross the process boundary, so the fan-out is
-  zero-copy with respect to the data;
-* **pending delta rows ship zero-copy too**: each provider owns a growable
-  shared-memory append buffer (one ``(columns, capacity)`` int64 matrix —
-  every table column is normalised to contiguous int64, so one block fits
-  all).  The parent writes appended rows into the buffer and sends only a
-  tiny ``(buffer name, capacity, row range)`` descriptor; the worker maps
-  the block once and appends zero-copy column *views* to its mirror delta
-  store.  No delta row is ever pickled — neither at pool construction nor
-  per ingest batch — which :class:`ProcPoolStats` makes assertable;
-* each worker's provider draws from the same RNG stream the in-process
-  provider would have drawn from (the parent's generator state is shipped at
-  construction and synchronised back after every stateful call), so
-  process-parallel execution is **bit-identical** to sequential and thread
-  execution under the same seed.
+* a hosted provider's **rows never cross the pipe**.  Its table is copied
+  once into a :mod:`multiprocessing.shared_memory` block (one
+  ``(columns, rows)`` int64 matrix — every
+  :class:`~repro.storage.table.Table` column is contiguous int64 by
+  construction), and its pending delta rows live in a second, growable
+  block of the same shape.  The worker maps both and builds its clustered
+  table, metadata, layout and mirror delta store over zero-copy column
+  *views*; an append reaches it as a ``(buffer, start, stop)`` descriptor;
+* the worker's provider adopts the parent provider's exact RNG stream
+  position (and keyed-stream entropy) at start, so it draws precisely what
+  the in-process provider would have drawn.
 
-Per-query protocol state (the summary→answer sessions) lives in the worker,
-which is why all stateful provider calls — summaries, answers, forgets —
-must route through the pool while it is active; the parent provider objects
-stay valid for stateless reads (exact baselines, metadata sizes).  Release
-caches likewise live worker-side: hits still happen and reuse flags (and
-therefore per-query charges) are reported, but the parent-side
-:meth:`cache.stats` of a process-backed federation stays empty and the
+Everything message-shaped — envelope, sequence numbers, timeouts, retries,
+respawn with summary replay, fault injection, stats — belongs to the
+transport.  The worker loop only receives envelopes, hands them to the
+transport's one server-side entry point
+(:func:`~repro.federation.transport.serve_request`) and stamps the
+provider's RNG position, span records and (when asked) kernel telemetry
+onto the reply.
+
+Per-query sessions and the release cache live in the worker while a
+provider is hosted; the parent object stays valid for stateless reads
+(exact baselines, metadata sizes).  Cache hits still happen and reuse flags
+(and therefore per-query charges) are reported, but the parent-side
+:meth:`cache.stats` stays empty and the
 :class:`~repro.cache.planner.ReusePlanner`'s pre-execution admission bound
 cannot see worker-side entries — it stays at the (sound, conservative)
-full price, so a nearly exhausted budget may refuse a batch the thread
-backend would have admitted as fully cached.
-
-**Failure handling** comes in two regimes.  With
-:class:`~repro.config.ResilienceConfig` disabled (the default), a dead
-worker makes the pool tear itself down — every shared block is unlinked —
-and raise :class:`~repro.errors.ProtocolError`; the owning aggregator
-rebuilds the pool on the next batch.  With resilience enabled, the pool
-degrades instead: per-reply timeouts flag hung workers, a dead worker is
-killed and **respawned from the provider's existing shared-memory blocks**
-(the table export is never repeated), the respawned worker is seeded with
-the RNG checkpoint taken at the summary phase's entry and replays the
-batch's summary command so its per-query sessions and noise draws are
-bit-identical to the lost worker's, and calls that keep failing are
-reported per provider instead of failing the batch.  Scripted faults
-(:class:`~repro.testing.faults.FaultInjector`) are consumed parent-side:
-workers only ever see a tiny ``("chaos", ...)`` directive ahead of a real
-command.
-
-The pool must be closed (:meth:`ProviderProcessPool.close`, or via the
-owning aggregator/system ``close()`` / context manager) to terminate the
-workers and unlink the shared-memory blocks.
+full price.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing as mp
 import os
 import time
-from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Sequence
 
 import numpy as np
 
-from ..errors import ProtocolError
-from ..storage.layout import KernelTelemetry, merge_active_telemetry, telemetry_active
+from ..errors import TransportError
+from ..obs.trace import SpanRecorder
+from ..storage.layout import collect_kernel_telemetry
+from ..storage.table import Table
+from .provider import DataProvider
 
-__all__ = ["ProviderProcessPool", "ProcPoolStats"]
-
-_RESPAWN_READY_TIMEOUT = 60.0
-"""Seconds a respawn waits for the new worker's ready/replay replies."""
-
-
-@dataclass(frozen=True)
-class _ColumnSpec:
-    """One shared-memory-backed table column."""
-
-    name: str
-    shm_name: str
-    dtype: str
-    length: int
+__all__ = ["ProviderHost"]
 
 
-@dataclass(frozen=True)
-class _DeltaBufferSpec:
-    """Descriptor of one provider's shared delta buffer (or a slice of it)."""
+@dataclasses.dataclass(frozen=True)
+class _RowsSpec:
+    """Descriptor of one shared row matrix: what a worker needs to map it."""
 
     shm_name: str
     capacity: int
     rows: int
 
 
-@dataclass
-class ProcPoolStats:
-    """Pool instrumentation (parent-side, cumulative).
+class _SharedRows:
+    """Parent-side shared-memory row matrix, optionally growing by appends.
 
-    ``delta_rows_pickled_bytes`` counts bytes of delta-row payloads (tables)
-    serialised over the worker pipes — zero by construction on the
-    shared-buffer path; the counter exists so a regression reintroducing
-    pickled row shipping is caught by tests rather than by a profiler.
-
-    The resilience counters (``workers_respawned`` / ``worker_timeouts`` /
-    ``provider_retries`` / ``provider_failures``) stay zero outside
-    degraded chaos runs.
+    One int64 matrix of shape ``(num_columns, capacity)``.  Growth allocates
+    a doubled block and copies the live prefix; the outgrown block is
+    unlinked immediately — POSIX keeps existing mappings valid after an
+    unlink, so views a worker already holds stay readable, and every later
+    descriptor names the new block.
     """
 
-    delta_rows_shipped: int = 0
-    delta_shared_bytes: int = 0
-    delta_rows_pickled_bytes: int = 0
-    workers_respawned: int = 0
-    worker_timeouts: int = 0
-    provider_retries: int = 0
-    provider_failures: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        """Plain-dict form (for metric snapshots and benchmark records)."""
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
-
-
-def _charge_pickled_rows(stats: ProcPoolStats, command: tuple) -> None:
-    """Charge any table-like payload in ``command`` to the pickled counter."""
-    for element in command:
-        if hasattr(element, "schema") and hasattr(element, "memory_bytes"):
-            stats.delta_rows_pickled_bytes += int(element.memory_bytes())
-
-
-class _SharedDeltaBuffer:
-    """Parent-side growable shared-memory append buffer of delta rows.
-
-    One int64 matrix of shape ``(num_columns, capacity)`` per provider
-    (every :class:`~repro.storage.table.Table` column is contiguous int64 by
-    construction).  Growth allocates a doubled block and copies the live
-    prefix; the outgrown block is unlinked immediately — workers attached it
-    before any later message could reference the new one (the ingest
-    round-trip is synchronous), and POSIX keeps existing mappings valid
-    after an unlink, so worker-held chunk views stay readable.
-    """
-
-    def __init__(self, column_names: Sequence[str], initial_rows: int = 0) -> None:
+    def __init__(self, column_names: Sequence[str], capacity: int = 1024) -> None:
         self._column_names = tuple(column_names)
-        capacity = 1024
-        while capacity < initial_rows:
-            capacity *= 2
-        self._capacity = capacity
+        self._capacity = max(1, capacity)
         self._rows = 0
-        self._block, self._matrix = self._allocate(capacity)
+        self._block, self._matrix = self._allocate(self._capacity)
 
     def _allocate(self, capacity: int) -> tuple[shared_memory.SharedMemory, np.ndarray]:
-        num_columns = max(1, len(self._column_names))
+        num_columns = len(self._column_names)
         block = shared_memory.SharedMemory(
             create=True, size=max(1, num_columns * capacity * 8)
         )
-        matrix = np.ndarray(
-            (len(self._column_names), capacity), dtype=np.int64, buffer=block.buf
-        )
+        matrix = np.ndarray((num_columns, capacity), dtype=np.int64, buffer=block.buf)
         return block, matrix
 
     @property
@@ -169,8 +92,13 @@ class _SharedDeltaBuffer:
         """Shared bytes one appended row occupies."""
         return len(self._column_names) * 8
 
-    def append(self, rows) -> tuple[int, int]:
-        """Write a table's rows into the buffer; return their ``[start, stop)``."""
+    @property
+    def block_name(self) -> str | None:
+        """Name of the live block (``None`` once closed)."""
+        return None if self._block is None else self._block.name
+
+    def append(self, rows: Table) -> tuple[int, int]:
+        """Write a table's rows into the matrix; return their ``[start, stop)``."""
         count = rows.num_rows
         if self._rows + count > self._capacity:
             capacity = self._capacity
@@ -181,21 +109,16 @@ class _SharedDeltaBuffer:
             old = self._block
             self._block, self._matrix, self._capacity = block, matrix, capacity
             old.close()
-            try:
-                old.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
+            old.unlink()
         start = self._rows
         for index, name in enumerate(self._column_names):
             self._matrix[index, start : start + count] = rows.column(name)
         self._rows += count
         return start, self._rows
 
-    def spec(self) -> _DeltaBufferSpec:
+    def spec(self) -> _RowsSpec:
         """Current descriptor (name, capacity, populated row count)."""
-        return _DeltaBufferSpec(
-            shm_name=self._block.name, capacity=self._capacity, rows=self._rows
-        )
+        return _RowsSpec(self._block.name, self._capacity, self._rows)
 
     def close(self) -> None:
         """Release and unlink the live block (idempotent)."""
@@ -209,832 +132,219 @@ class _SharedDeltaBuffer:
         self._block = None
 
 
-@dataclass(frozen=True)
-class _ProviderSpec:
-    """Everything a worker needs to rebuild one provider, minus the rows."""
+class _RowsView:
+    """Worker-side window onto one of the parent's shared row matrices.
 
-    provider_id: str
-    cluster_size: int
-    n_min: int
-    clustering_policy: str
-    sort_by: str | None
-    intra_sort_by: str | None
-    cache_config: object
-    execution_config: object
-    ingest_config: object
-    schema: object
-    columns: tuple[_ColumnSpec, ...]
-    rng_state: dict
-    stream_entropy: tuple[int, ...]
-    delta: _DeltaBufferSpec  # pending (uncompacted) rows live in shm, not here
-
-
-def _export_table(table) -> tuple[tuple[_ColumnSpec, ...], list[shared_memory.SharedMemory]]:
-    """Copy a table's columns into fresh shared-memory blocks (parent side)."""
-    specs: list[_ColumnSpec] = []
-    blocks: list[shared_memory.SharedMemory] = []
-    for name in table.schema.column_names:
-        array = table.column(name)
-        block = shared_memory.SharedMemory(create=True, size=max(array.nbytes, 1))
-        view = np.ndarray(array.shape, dtype=array.dtype, buffer=block.buf)
-        view[:] = array
-        specs.append(
-            _ColumnSpec(
-                name=name,
-                shm_name=block.name,
-                dtype=array.dtype.str,
-                length=int(array.size),
-            )
-        )
-        blocks.append(block)
-    return tuple(specs), blocks
-
-
-def _attach_table(schema, specs: Sequence[_ColumnSpec]):
-    """Rebuild a table over the parent's shared blocks (worker side)."""
-    from ..storage.table import Table
-
-    blocks: list[shared_memory.SharedMemory] = []
-    columns: dict[str, np.ndarray] = {}
-    for spec in specs:
-        # Attaching re-registers the name with the (shared) resource
-        # tracker; registration is a set-add, and only the creating parent
-        # unregisters at unlink time, so the bookkeeping stays balanced.
-        block = shared_memory.SharedMemory(name=spec.shm_name)
-        blocks.append(block)
-        columns[spec.name] = np.ndarray(
-            (spec.length,), dtype=np.dtype(spec.dtype), buffer=block.buf
-        )
-    # Table normalisation keeps already-contiguous int64 arrays as-is, so the
-    # columns remain views over the shared blocks — no copy.
-    return Table(schema, columns), blocks
-
-
-class _WorkerDeltaView:
-    """Worker-side window onto one provider's shared delta buffer.
-
-    Caches the attached block per buffer name; a grown buffer (new name)
-    is attached on first reference while the outgrown block stays mapped —
+    Caches the attached block per name; a grown matrix (new name) is
+    attached on first reference while the outgrown block stays mapped —
     the provider's delta chunks hold zero-copy views into it.
     """
 
     def __init__(self, schema, blocks: list) -> None:
         self._schema = schema
-        self._names = schema.column_names
-        self._blocks = blocks  # the worker's shared close-at-exit registry
+        self._blocks = blocks  # the worker's close-at-exit registry
         self._shm_name: str | None = None
         self._matrix: np.ndarray | None = None
 
-    def slice_table(self, spec: _DeltaBufferSpec, start: int, stop: int):
-        """Zero-copy table over rows ``[start, stop)`` of the buffer."""
-        from ..storage.table import Table
-
+    def table(self, spec: _RowsSpec, start: int, stop: int) -> Table:
+        """Zero-copy table over rows ``[start, stop)`` of the matrix."""
+        names = self._schema.column_names
         if spec.shm_name != self._shm_name:
+            # Attaching re-registers the name with the (shared) resource
+            # tracker; registration is a set-add, and only the creating
+            # parent unregisters at unlink time, so the books stay balanced.
             block = shared_memory.SharedMemory(name=spec.shm_name)
             self._blocks.append(block)
             self._shm_name = spec.shm_name
             self._matrix = np.ndarray(
-                (len(self._names), spec.capacity), dtype=np.int64, buffer=block.buf
+                (len(names), spec.capacity), dtype=np.int64, buffer=block.buf
             )
         # Row slices of an int64 matrix row are contiguous int64 views, which
         # Table normalisation keeps as-is — no copy anywhere on this path.
         return Table(
             self._schema,
-            {name: self._matrix[index, start:stop] for index, name in enumerate(self._names)},
+            {name: self._matrix[index, start:stop] for index, name in enumerate(names)},
         )
 
 
-def _observed_call(obs: dict, provider, phase: str, call):
-    """Run one provider phase under worker-side telemetry/span collection.
+@dataclasses.dataclass(frozen=True)
+class _ProviderSpec:
+    """Everything a worker needs to rebuild one provider, minus the rows."""
 
-    ``obs`` is the parent's observability directive: ``"telemetry"`` asks
-    for a :class:`~repro.storage.layout.KernelTelemetry` count dict (the
-    parent has a live collector), ``"trace"`` carries the propagated span
-    context to parent worker spans under.  Returns ``(extra, result)``
-    where ``extra`` is the reply-payload observation dict (or ``None``).
-    Collection never touches the provider's draws — results are
-    bit-identical with and without it.
-    """
-    from ..obs.trace import SpanRecorder
-    from ..storage.layout import collect_kernel_telemetry
-
-    recorder = SpanRecorder(provider.provider_id)
-    telemetry = None
-    with recorder.span(
-        f"provider.{phase}",
-        obs.get("trace"),
-        provider=provider.provider_id,
-        worker_pid=os.getpid(),
-    ):
-        if obs.get("telemetry"):
-            with collect_kernel_telemetry() as collector:
-                result = call()
-            telemetry = collector.as_dict()
-        else:
-            result = call()
-    extra: dict = {}
-    if telemetry is not None:
-        extra["telemetry"] = telemetry
-    if recorder.records:
-        extra["spans"] = recorder.records
-    return (extra or None), result
+    settings: dict  # DataProvider's constructor arguments, minus table and rng
+    schema: object
+    table: _RowsSpec
+    delta: _RowsSpec  # pending (uncompacted) rows
+    rng_state: dict
+    stream_entropy: tuple[int, ...]
 
 
-def _worker_main(conn, provider_specs: Sequence[_ProviderSpec]) -> None:
-    """Worker loop: host the assigned providers, serve phase calls over the pipe."""
-    from .provider import DataProvider
+def _worker_main(conn, spec: _ProviderSpec) -> None:
+    """Worker loop: host one provider, serve transport envelopes over the pipe."""
+    from .transport import serve_request  # imports this module
 
     blocks: list[shared_memory.SharedMemory] = []
-    providers: dict[str, DataProvider] = {}
-    delta_views: dict[str, _WorkerDeltaView] = {}
     try:
-        for spec in provider_specs:
-            table, table_blocks = _attach_table(spec.schema, spec.columns)
-            blocks.extend(table_blocks)
-            provider = DataProvider(
-                provider_id=spec.provider_id,
-                table=table,
-                cluster_size=spec.cluster_size,
-                n_min=spec.n_min,
-                clustering_policy=spec.clustering_policy,
-                sort_by=spec.sort_by,
-                intra_sort_by=spec.intra_sort_by,
-                cache_config=spec.cache_config,
-                execution_config=spec.execution_config,
-                ingest_config=spec.ingest_config,
-                rng=0,
-            )
-            # Adopt the parent provider's exact stream position so the worker
-            # draws precisely what the in-process provider would have drawn,
-            # and its keyed-stream entropy so seed_material-pinned queries
-            # land on identical noise streams in every backend.
-            provider._rng.bit_generator.state = spec.rng_state
-            provider._stream_entropy = spec.stream_entropy
-            view = _WorkerDeltaView(spec.schema, blocks)
-            delta_views[spec.provider_id] = view
-            if spec.delta.rows:
-                # Mirror the parent's uncompacted delta buffer so worker-side
-                # snapshots pin the same watermark the parent would have —
-                # read zero-copy out of the shared buffer, never pickled.
-                # Workers never compact (auto_compact=False): compaction is a
-                # parent-side decision whose epoch bump rebuilds this pool.
-                provider.ingest_rows(
-                    view.slice_table(spec.delta, 0, spec.delta.rows),
-                    auto_compact=False,
-                )
-            providers[spec.provider_id] = provider
-        conn.send(("ready", None))
-        while True:
-            command = conn.recv()
-            method = command[0]
-            if method == "close":
-                break
-            if method == "chaos":
-                # Scripted fault directive from the parent's FaultInjector —
-                # the worker itself never sees the schedule.
-                if command[1] == "crash":
-                    os._exit(17)
-                elif command[1] == "hang":
-                    time.sleep(float(command[2]))
-                continue
-            try:
-                provider = providers[command[1]]
-                if method == "summary":
-                    requests, epsilon = command[2], command[3]
-                    obs = command[4] if len(command) > 4 else None
-                    reuse: list[bool] = []
-                    extra = None
-                    if obs:
-                        extra, messages = _observed_call(
-                            obs,
-                            provider,
-                            "summary",
-                            lambda: provider.prepare_summary_batch(
-                                requests, epsilon, reuse_out=reuse
-                            ),
-                        )
-                    else:
-                        messages = provider.prepare_summary_batch(
-                            requests, epsilon, reuse_out=reuse
-                        )
-                    payload = (messages, reuse, provider._rng.bit_generator.state)
-                    # The base 3-tuple reply is the stable protocol; worker
-                    # observations ride behind it only when requested, so the
-                    # default path ships byte-identical replies.
-                    conn.send(("ok", payload + (extra,) if extra else payload))
-                elif method == "answer":
-                    allocations, budget, use_smc = command[2], command[3], command[4]
-                    obs = command[5] if len(command) > 5 else None
-                    reuse = []
-                    extra = None
-                    if obs:
-                        extra, answers = _observed_call(
-                            obs,
-                            provider,
-                            "answer",
-                            lambda: provider.answer_batch(
-                                allocations, budget, use_smc=use_smc, reuse_out=reuse
-                            ),
-                        )
-                    else:
-                        answers = provider.answer_batch(
-                            allocations, budget, use_smc=use_smc, reuse_out=reuse
-                        )
-                    payload = (answers, reuse, provider._rng.bit_generator.state)
-                    conn.send(("ok", payload + (extra,) if extra else payload))
-                elif method == "ingest":
-                    # Append-only: the worker mirrors the parent's buffer so
-                    # later phases pin identical watermarks.  The command
-                    # carries only a buffer descriptor and a row range — the
-                    # rows themselves are read zero-copy out of the shared
-                    # delta buffer.  Compaction is never triggered here —
-                    # the parent compacts and the resulting epoch bump tears
-                    # this pool down.
-                    _, _, spec, start, stop = command
-                    rows = delta_views[command[1]].slice_table(spec, start, stop)
-                    receipt = provider.ingest_rows(rows, auto_compact=False)
-                    conn.send(("ok", receipt))
-                elif method == "forget":
-                    provider.forget_batch(command[2])
-                    conn.send(("ok", None))
-                else:
-                    conn.send(("error", f"unknown worker method {method!r}"))
-            except Exception as error:  # noqa: BLE001 - forwarded to the parent
-                import traceback
+        table = _RowsView(spec.schema, blocks).table(spec.table, 0, spec.table.rows)
+        provider = DataProvider(table=table, rng=0, **spec.settings)
+        # Adopt the parent provider's exact stream position so the worker
+        # draws precisely what the in-process provider would have drawn,
+        # and its keyed-stream entropy so seed_material-pinned queries
+        # land on identical noise streams on every carrier.
+        provider._rng.bit_generator.state = spec.rng_state
+        provider._stream_entropy = spec.stream_entropy
+        delta_view = _RowsView(spec.schema, blocks)
 
-                conn.send(("error", f"{error}\n{traceback.format_exc()}"))
+        def ingest(_provider, payload):
+            # Append-only mirror of the parent's delta store, so later
+            # phases pin identical watermarks.  Workers never compact
+            # (auto_compact=False): compaction is a parent-side decision
+            # whose epoch bump tears the hosts down.
+            rows = delta_view.table(payload["buffer"], payload["start"], payload["stop"])
+            return provider.ingest_rows(rows, auto_compact=False)
+
+        def serve(envelope, recorder):
+            return serve_request(
+                [provider],
+                envelope,
+                tracer=recorder,
+                kind="process",
+                local_ops={"ingest": ingest},
+                worker_pid=os.getpid(),
+            )
+
+        if spec.delta.rows:
+            ingest(provider, {"buffer": spec.delta, "start": 0, "stop": spec.delta.rows})
+        conn.send({"ready": True})
+        while True:
+            envelope = conn.recv()
+            op = envelope.get("op")
+            if op == "close":
+                break
+            if op == "chaos":
+                # Scripted fault directive from the parent's FaultInjector —
+                # one-way, and only ever accepted on this (trusted) pipe.
+                if envelope["payload"]["kind"] == "crash_worker":
+                    os._exit(17)
+                time.sleep(float(envelope["payload"]["seconds"]))
+                continue
+            recorder = SpanRecorder(provider.provider_id)
+            if envelope.get("telemetry"):
+                with collect_kernel_telemetry() as collector:
+                    reply = serve(envelope, recorder)
+                reply["telemetry"] = collector.as_dict()
+            else:
+                reply = serve(envelope, recorder)
+            if "ok" in reply:
+                reply["rng"] = provider._rng.bit_generator.state
+            if recorder.records:
+                reply["spans"] = recorder.records
+            for _ in range(2 if envelope.get("dup") else 1):
+                conn.send(reply)
     finally:
         for block in blocks:
             block.close()
         conn.close()
 
 
-class ProviderProcessPool:
-    """Persistent per-provider worker processes behind one aggregator.
+class ProviderHost:
+    """Parent-side handle of one hosted provider.
 
-    Providers are assigned round-robin to ``parallelism.resolve_workers``
-    worker processes (one provider per worker by default).  Calls preserve
-    provider order; replies on a shared worker pipe arrive in send order.
+    Owns the provider's shared table block and delta buffer (both outlive
+    any single worker, so a respawn never re-exports the table) plus the
+    current worker process and the pipe to it.  Must be closed to stop the
+    worker and unlink the blocks.
     """
 
-    def __init__(self, providers: Sequence, parallelism, *, tracer=None) -> None:
-        self._providers = list(providers)
-        self._blocks: list[shared_memory.SharedMemory] = []
-        self._delta_buffers: list[_SharedDeltaBuffer] = []
-        self._conns = []
-        self._processes = []
-        self._closed = False
-        self.stats = ProcPoolStats()
-        # Observability: worker span records are absorbed into this tracer
-        # (None with observability disabled) and the workers' kernel
-        # telemetry accumulates here for the pool's lifetime on top of being
-        # folded into any live collect_kernel_telemetry() collector.
-        self._tracer = tracer
-        self.kernel_telemetry = KernelTelemetry()
-        # Respawn state: the per-provider column specs (the shared blocks
-        # are parent-owned and outlive any worker), the RNG checkpoints
-        # taken at the last summary phase's entry, and that phase's command
-        # for session replay on a worker respawned mid-batch.
-        self._column_specs: list[tuple[_ColumnSpec, ...]] = []
-        self._rng_checkpoints: list[dict] = []
-        self._last_summary: tuple | None = None
-        # Layout versions the worker snapshots were taken at; the owning
-        # aggregator rebuilds the pool when any provider re-clusters.
-        self.layout_epochs = tuple(provider.layout_epoch for provider in self._providers)
-        context = mp.get_context()
-        num_workers = parallelism.resolve_workers(len(self._providers))
-        self._worker_of = [index % num_workers for index in range(len(self._providers))]
-        specs_per_worker: list[list[_ProviderSpec]] = [[] for _ in range(num_workers)]
-        for index, provider in enumerate(self._providers):
-            columns, blocks = _export_table(provider.table)
-            self._blocks.extend(blocks)
-            self._column_specs.append(columns)
-            self._rng_checkpoints.append(provider._rng.bit_generator.state)
-            delta_buffer = _SharedDeltaBuffer(provider.table.schema.column_names)
-            self._delta_buffers.append(delta_buffer)
-            if provider.delta.watermark:
-                # Pre-populate the shared buffer with the pending
-                # (uncompacted) rows instead of pickling them into the spec.
-                pending = provider.delta.rows_upto(provider.delta.watermark)
-                delta_buffer.append(pending)
-                self.stats.delta_rows_shipped += pending.num_rows
-                self.stats.delta_shared_bytes += (
-                    pending.num_rows * delta_buffer.row_bytes
-                )
-            specs_per_worker[self._worker_of[index]].append(
-                self._build_spec(index, provider._rng.bit_generator.state)
-            )
+    def __init__(self, provider) -> None:
+        self.provider = provider
+        self.conn = None
+        self._process = None
+        names = provider.table.schema.column_names
+        self._table = _SharedRows(names, capacity=provider.table.num_rows)
+        self.delta_buffer: _SharedRows | None = None
         try:
-            for worker_specs in specs_per_worker:
-                parent_conn, child_conn = context.Pipe()
-                process = context.Process(
-                    target=_worker_main, args=(child_conn, worker_specs), daemon=True
-                )
-                process.start()
-                child_conn.close()
-                self._conns.append(parent_conn)
-                self._processes.append(process)
-            for conn in self._conns:
-                status, _ = conn.recv()
-                if status != "ready":  # pragma: no cover - defensive
-                    raise ProtocolError("provider worker failed to initialise")
+            self._table.append(provider.table)
+            self.delta_buffer = _SharedRows(names)
         except BaseException:
             self.close()
             raise
 
-    def _build_spec(self, provider_index: int, rng_state: dict) -> _ProviderSpec:
-        """Worker rebuild recipe for one provider over its existing blocks."""
-        provider = self._providers[provider_index]
-        return _ProviderSpec(
-            provider_id=provider.provider_id,
-            cluster_size=provider.cluster_size,
-            n_min=provider.n_min,
-            clustering_policy=provider.clustering_policy,
-            sort_by=provider.sort_by,
-            intra_sort_by=provider.intra_sort_by,
-            cache_config=provider.cache_config,
-            execution_config=provider.execution_config,
-            ingest_config=provider.ingest_config,
+    @property
+    def alive(self) -> bool:
+        """Whether a worker is currently reachable over the pipe."""
+        return self.conn is not None
+
+    def block_names(self) -> list[str]:
+        """Names of the live shared-memory blocks this host owns."""
+        buffers = (self._table, self.delta_buffer)
+        return [
+            buffer.block_name
+            for buffer in buffers
+            if buffer is not None and buffer.block_name
+        ]
+
+    def start(self, rng_state: dict) -> None:
+        """Launch a worker over the existing blocks (returns before it is ready).
+
+        ``rng_state`` is the stream position the worker's provider adopts:
+        the parent provider's current one, or a checkpoint when the
+        transport is about to replay a summary on it.
+        """
+        provider = self.provider
+        spec = _ProviderSpec(
+            settings={
+                field.name: getattr(provider, field.name)
+                for field in dataclasses.fields(DataProvider)
+                if field.init and field.name not in ("table", "rng")
+            },
             schema=provider.table.schema,
-            columns=self._column_specs[provider_index],
+            table=self._table.spec(),
+            delta=self.delta_buffer.spec(),
             rng_state=rng_state,
             stream_entropy=provider._stream_entropy,
-            delta=self._delta_buffers[provider_index].spec(),
         )
-
-    # -- introspection -----------------------------------------------------
-
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has run (a closed pool serves no calls)."""
-        return self._closed
-
-    def shared_block_names(self) -> tuple[str, ...]:
-        """Names of every live shared-memory block this pool owns.
-
-        Covers the exported table columns and the delta append buffers —
-        the leak-regression tests attach by name after a crash to prove
-        everything was unlinked.
-        """
-        names = [block.name for block in self._blocks]
-        names.extend(
-            buffer._block.name
-            for buffer in self._delta_buffers
-            if buffer._block is not None
-        )
-        return tuple(names)
-
-    def live_workers(self) -> int:
-        """Number of workers currently reachable over their pipes."""
-        return sum(1 for conn in self._conns if conn is not None)
-
-    # -- phase calls -------------------------------------------------------
-
-    def summary_batch(
-        self,
-        requests,
-        epsilon_allocation: float,
-        *,
-        skip: frozenset[int] = frozenset(),
-        injector=None,
-        resilience=None,
-    ):
-        """Run ``prepare_summary_batch`` on every non-skipped provider's worker.
-
-        Returns ``(results, failures)``: per-provider-index dicts of
-        ``(messages, reuse)`` payloads and permanent failure reasons.
-        Without resilience, failures raise instead (seed behaviour) and the
-        failure dict is always empty.
-        """
-        if self._closed:
-            raise ProtocolError("provider process pool is closed")
-        degrade = resilience is not None and resilience.enabled
-        # Checkpoint every provider's stream position at phase entry: a
-        # worker respawned mid-batch restarts from here and replays the
-        # summary command, which reproduces the lost worker's draws and
-        # sessions bit-for-bit (caches cold — see the module docstring).
-        for index, provider in enumerate(self._providers):
-            self._rng_checkpoints[index] = provider._rng.bit_generator.state
-        self._last_summary = (list(requests), epsilon_allocation)
-        if degrade and resilience.respawn_workers:
-            # A worker lost in an earlier batch is revived here, from the
-            # parent's current (authoritative) stream positions — no replay:
-            # a new batch has no sessions yet.
-            for worker in sorted(
-                {
-                    self._worker_of[index]
-                    for index in range(len(self._providers))
-                    if index not in skip
-                }
-            ):
-                if self._conns[worker] is None:
-                    self._respawn_worker(worker)
-        obs = self._obs_directive(
-            next((request.trace_context for request in requests if request.trace_context), None)
-        )
-        entries = [
-            (index, ("summary", provider.provider_id, requests, epsilon_allocation) + obs)
-            for index, provider in enumerate(self._providers)
-            if index not in skip
-        ]
-        return self._call(
-            entries, sync_rng=True, phase="summary", injector=injector, resilience=resilience
-        )
-
-    def answer_batch(
-        self,
-        allocations_per_provider,
-        budget,
-        use_smc: bool,
-        *,
-        skip: frozenset[int] = frozenset(),
-        injector=None,
-        resilience=None,
-        trace_ctx=None,
-    ):
-        """Run ``answer_batch`` on every non-skipped provider's worker.
-
-        Same ``(results, failures)`` contract as :meth:`summary_batch`.
-        ``trace_ctx`` carries the answer phase's span context (allocation
-        messages have no trace field of their own).
-        """
-        if self._closed:
-            raise ProtocolError("provider process pool is closed")
-        obs = self._obs_directive(trace_ctx)
-        entries = [
-            (
-                index,
-                (
-                    "answer",
-                    self._providers[index].provider_id,
-                    allocations_per_provider[index],
-                    budget,
-                    use_smc,
-                )
-                + obs,
-            )
-            for index in range(len(self._providers))
-            if index not in skip
-        ]
-        return self._call(
-            entries, sync_rng=True, phase="answer", injector=injector, resilience=resilience
-        )
-
-    def forget_batch(self, query_ids) -> None:
-        """Drop the per-query worker sessions (idempotent, best-effort).
-
-        Dead workers hold no sessions to leak and are skipped; a worker
-        dying mid-forget is killed (not the whole pool) — the sessions die
-        with it.
-        """
-        if self._closed:
-            raise ProtocolError("provider process pool is closed")
-        sent: dict[int, int] = {}
-        for index, provider in enumerate(self._providers):
-            worker = self._worker_of[index]
-            conn = self._conns[worker]
-            if conn is None:
-                continue
-            try:
-                conn.send(("forget", provider.provider_id, list(query_ids)))
-            except (BrokenPipeError, OSError):
-                self._kill_worker(worker)
-                continue
-            sent[worker] = sent.get(worker, 0) + 1
-        for worker, expected in sent.items():
-            conn = self._conns[worker]
-            for _ in range(expected):
-                try:
-                    conn.recv()
-                except (EOFError, BrokenPipeError, OSError):
-                    self._kill_worker(worker)
-                    break
-
-    def ingest(self, provider_index: int, rows) -> None:
-        """Mirror an append onto one provider's worker (append-only).
-
-        The parent aggregator routes every ingest here *before* applying it
-        to its own provider object, so the two views of the delta buffer
-        advance in lockstep and any in-worker session keeps its pinned
-        snapshot semantics.
-
-        The rows are written into the provider's shared delta buffer and
-        only a ``(descriptor, start, stop)`` triple crosses the pipe —
-        zero pickled delta-row bytes per batch.  A worker lost to an
-        earlier degraded batch is respawned first (ingest runs between
-        batches, so no session replay is needed).
-        """
-        provider = self._providers[provider_index]
-        worker = self._worker_of[provider_index]
-        if self._closed:
-            raise ProtocolError("provider process pool is closed")
-        if self._conns[worker] is None and not self._respawn_worker(worker):
-            raise ProtocolError(
-                f"provider worker for {provider.provider_id!r} is dead and could "
-                "not be respawned"
-            )
-        buffer = self._delta_buffers[provider_index]
-        start, stop = buffer.append(rows)
-        self.stats.delta_rows_shipped += rows.num_rows
-        self.stats.delta_shared_bytes += rows.num_rows * buffer.row_bytes
-        command = ("ingest", provider.provider_id, buffer.spec(), start, stop)
-        _charge_pickled_rows(self.stats, command)
-        try:
-            self._conns[worker].send(command)
-            status, payload = self._conns[worker].recv()
-        except (EOFError, BrokenPipeError, OSError) as error:
-            self.close()
-            raise ProtocolError(f"provider worker died: {error!r}") from error
-        if status != "ok":
-            raise ProtocolError(f"provider worker failed: {payload}")
-
-    def _call(self, entries, *, sync_rng: bool, phase=None, injector=None, resilience=None):
-        """Drive one phase over the workers; degrade per provider if allowed.
-
-        ``entries`` is a list of ``(provider_index, command)``.  Returns
-        ``(results, failures)`` keyed by provider index.  Without an
-        enabled resilience policy this reproduces the seed semantics
-        exactly: a worker-level error reply raises after draining every
-        reply, a dead worker tears the whole pool down and raises.
-        """
-        if self._closed:
-            raise ProtocolError("provider process pool is closed")
-        degrade = resilience is not None and resilience.enabled
-        timeout = resilience.provider_timeout_seconds if degrade else None
-        max_attempts = 1 + (resilience.max_retries if degrade else 0)
-        command_of = {index: command for index, command in entries}
-        results: dict[int, object] = {}
-        failures: dict[int, str] = {}
-        pending = [index for index, _ in entries]
-        attempt = 0
-        while pending:
-            attempt += 1
-            transport_error: Exception | None = None
-            failed_now: dict[int, str] = {}
-            sent: dict[int, list[int]] = {}
-            for index in pending:
-                worker = self._worker_of[index]
-                conn = self._conns[worker]
-                if conn is None:
-                    failed_now[index] = "worker unavailable"
-                    continue
-                fault = (
-                    injector.take_call_fault(phase, index, attempt)
-                    if injector is not None and phase is not None
-                    else None
-                )
-                if fault is not None and fault.kind == "drop_provider":
-                    # The provider went offline at the protocol level: the
-                    # command is never sent, the worker stays alive.
-                    failed_now[index] = "injected provider drop"
-                    continue
-                if fault is not None and fault.kind == "kill_connection":
-                    # Transport sabotage: the pipe dies under the parent,
-                    # taking every in-flight command on this worker with it.
-                    self._kill_worker(worker)
-                    failed_now[index] = "injected connection kill"
-                    continue
-                try:
-                    if fault is not None and fault.kind == "crash_worker":
-                        conn.send(("chaos", "crash"))
-                    elif fault is not None and fault.kind == "hang_worker":
-                        conn.send(("chaos", "hang", fault.hang_seconds))
-                    conn.send(command_of[index])
-                except (BrokenPipeError, OSError) as error:
-                    transport_error = error
-                    self._kill_worker(worker)
-                    failed_now[index] = f"worker died: {error!r}"
-                    continue
-                sent.setdefault(worker, []).append(index)
-            # Drain every expected reply before deciding anything: leaving
-            # queued replies behind would desynchronise the per-connection
-            # send/recv pairing and corrupt every later call on the pool.
-            for worker, indices in sent.items():
-                conn = self._conns[worker]
-                worker_down: str | None = None
-                for index in indices:
-                    if worker_down is not None:
-                        failed_now[index] = worker_down
-                        continue
-                    try:
-                        if timeout is not None and not conn.poll(timeout):
-                            worker_down = f"provider timed out after {timeout}s"
-                            self.stats.worker_timeouts += 1
-                            self._kill_worker(worker)
-                            failed_now[index] = worker_down
-                            continue
-                        status, payload = conn.recv()
-                    except (EOFError, BrokenPipeError, OSError) as error:
-                        transport_error = error
-                        worker_down = f"worker died: {error!r}"
-                        self._kill_worker(worker)
-                        failed_now[index] = worker_down
-                        continue
-                    if status != "ok":
-                        failed_now[index] = f"provider failed: {payload}"
-                    elif sync_rng:
-                        # Mirror the worker's stream position onto the parent
-                        # provider so the two views never diverge — including
-                        # for providers that succeeded in a partially failed
-                        # attempt, whose workers already consumed their draws.
-                        self._providers[index]._rng.bit_generator.state = payload[2]
-                        results[index] = (payload[0], payload[1])
-                        if len(payload) > 3 and payload[3]:
-                            self._absorb_observations(payload[3])
-                    else:
-                        results[index] = payload
-            pending = sorted(failed_now)
-            if not pending:
-                break
-            if not degrade:
-                if transport_error is not None:
-                    # A worker died (crash, OOM kill): the pipe protocol
-                    # cannot be resynchronised without respawn support, so
-                    # tear the whole pool down.  The owning aggregator
-                    # rebuilds it on the next process-backed batch.
-                    self.close()
-                    raise ProtocolError(
-                        f"provider worker died: {transport_error!r}"
-                    ) from transport_error
-                details = "; ".join(
-                    f"{self._providers[index].provider_id!r}: {failed_now[index]}"
-                    for index in pending
-                )
-                raise ProtocolError(f"provider worker failed: {details}")
-            if attempt >= max_attempts:
-                self.stats.provider_failures += len(pending)
-                failures.update(failed_now)
-                break
-            self.stats.provider_retries += len(pending)
-            if resilience.retry_backoff_seconds > 0:
-                time.sleep(resilience.retry_backoff_seconds * (2 ** (attempt - 1)))
-            if resilience.respawn_workers:
-                # Revive dead workers before the retry.  An answer-phase
-                # respawn replays the batch's summary for the retrying
-                # providers so their sessions (and draws) are rebuilt
-                # bit-identically from the phase-entry RNG checkpoint.
-                replay = frozenset(pending) if phase == "answer" else frozenset()
-                for worker in sorted({self._worker_of[index] for index in pending}):
-                    if self._conns[worker] is None:
-                        self._respawn_worker(worker, replay_for=replay)
-        return results, failures
-
-    # -- observability -----------------------------------------------------
-
-    def _obs_directive(self, trace_ctx) -> tuple:
-        """Extra command element asking workers to observe, or empty.
-
-        Empty whenever neither tracing nor a live telemetry collector
-        wants the data — the commands (and replies) then stay exactly the
-        seed shapes.
-        """
-        telemetry = telemetry_active()
-        if trace_ctx is None and not telemetry:
-            return ()
-        return ({"trace": trace_ctx, "telemetry": telemetry},)
-
-    def _absorb_observations(self, extra: dict) -> None:
-        """Fold one worker reply's telemetry/spans into parent collectors."""
-        counts = extra.get("telemetry")
-        if counts:
-            merge_active_telemetry(counts)
-            self.kernel_telemetry.merge_counts(counts)
-        spans = extra.get("spans")
-        if spans and self._tracer is not None:
-            self._tracer.absorb(spans)
-
-    # -- worker lifecycle --------------------------------------------------
-
-    def _kill_worker(self, worker_index: int) -> None:
-        """Sever one worker's pipe and terminate its process (blocks stay)."""
-        conn = self._conns[worker_index]
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
-            self._conns[worker_index] = None
-        process = self._processes[worker_index]
-        if process is not None and process.is_alive():
-            process.terminate()
-            process.join(timeout=5)
-
-    def _respawn_worker(
-        self, worker_index: int, replay_for: frozenset[int] = frozenset()
-    ) -> bool:
-        """Start a fresh worker over the provider's existing shared blocks.
-
-        The table columns and delta buffers are *not* re-exported — the new
-        worker attaches the very same blocks.  Providers in ``replay_for``
-        are seeded with the RNG checkpoint taken at the current batch's
-        summary entry and the summary command is replayed (output
-        discarded) so a subsequent answer retry finds bit-identical
-        sessions; all other providers start from the parent's current
-        (authoritative) stream position.  Returns ``False`` — leaving the
-        worker dead — when the respawn itself fails.
-        """
-        self._kill_worker(worker_index)
-        provider_indices = [
-            index
-            for index in range(len(self._providers))
-            if self._worker_of[index] == worker_index
-        ]
-        specs = [
-            self._build_spec(
-                index,
-                self._rng_checkpoints[index]
-                if index in replay_for
-                else self._providers[index]._rng.bit_generator.state,
-            )
-            for index in provider_indices
-        ]
         context = mp.get_context()
-        parent_conn = process = None
-        try:
-            parent_conn, child_conn = context.Pipe()
-            process = context.Process(
-                target=_worker_main, args=(child_conn, specs), daemon=True
-            )
-            process.start()
-            child_conn.close()
-            if not parent_conn.poll(_RESPAWN_READY_TIMEOUT):
-                raise ProtocolError("respawned provider worker never became ready")
-            status, _ = parent_conn.recv()
-            if status != "ready":
-                raise ProtocolError("respawned provider worker failed to initialise")
-            if replay_for and self._last_summary is not None:
-                requests, epsilon = self._last_summary
-                for index in provider_indices:
-                    if index not in replay_for:
-                        continue
-                    parent_conn.send(
-                        ("summary", self._providers[index].provider_id, requests, epsilon)
-                    )
-                    if not parent_conn.poll(_RESPAWN_READY_TIMEOUT):
-                        raise ProtocolError("summary replay timed out")
-                    status, payload = parent_conn.recv()
-                    if status != "ok":
-                        raise ProtocolError(f"summary replay failed: {payload}")
-                    # Replay output is discarded: the original release was
-                    # already delivered and accounted before the worker died.
-        except Exception:
-            if parent_conn is not None:
-                try:
-                    parent_conn.close()
-                except OSError:  # pragma: no cover - defensive
-                    pass
-            if process is not None and process.is_alive():
-                process.terminate()
-                process.join(timeout=5)
-            return False
-        self._conns[worker_index] = parent_conn
-        self._processes[worker_index] = process
-        self.stats.workers_respawned += 1
-        return True
+        self.conn, child_conn = context.Pipe()
+        self._process = context.Process(
+            target=_worker_main, args=(child_conn, spec), daemon=True
+        )
+        self._process.start()
+        child_conn.close()
 
-    # -- lifecycle ---------------------------------------------------------
+    def await_ready(self, timeout: float) -> None:
+        """Block until the launched worker has rebuilt its provider."""
+        provider_id = self.provider.provider_id
+        try:
+            if not self.conn.poll(timeout):
+                raise TransportError(
+                    f"provider worker for {provider_id!r} was not ready within {timeout}s"
+                )
+            self.conn.recv()
+        except (EOFError, OSError) as error:
+            raise TransportError(
+                f"provider worker for {provider_id!r} died while starting: {error!r}"
+            ) from error
+
+    def kill(self) -> None:
+        """Sever the pipe and terminate the worker (the blocks stay)."""
+        if self.conn is not None:
+            self.conn.close()
+            self.conn = None
+        if self._process is not None and self._process.is_alive():
+            self._process.terminate()
+            self._process.join(timeout=5)
+        self._process = None
 
     def close(self) -> None:
-        """Terminate the workers and unlink every shared block (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        for conn in self._conns:
-            if conn is None:
-                continue
+        """Stop the worker and unlink every shared block (idempotent)."""
+        if self.conn is not None:
             try:
-                conn.send(("close",))
-            except (BrokenPipeError, OSError):
+                self.conn.send({"op": "close"})
+                self._process.join(timeout=5)
+            except OSError:
                 pass
-        for process in self._processes:
-            if process is None:
-                continue
-            process.join(timeout=5)
-            if process.is_alive():  # pragma: no cover - defensive
-                process.terminate()
-                process.join(timeout=5)
-        for conn in self._conns:
-            if conn is None:
-                continue
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
-        for block in self._blocks:
-            try:
-                block.close()
-                block.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-        for buffer in self._delta_buffers:
-            buffer.close()
-        self._conns = []
-        self._processes = []
-        self._blocks = []
-        self._delta_buffers = []
-
-    def __del__(self) -> None:  # pragma: no cover - best-effort safety net
-        try:
-            self.close()
-        except Exception:
-            pass
+        self.kill()
+        self._table.close()
+        if self.delta_buffer is not None:
+            self.delta_buffer.close()

@@ -211,7 +211,7 @@ class DataProvider:
         # Stable entropy prefix of the *keyed* per-query streams (requests
         # carrying ``seed_material``).  Derived once at construction — after
         # the root-stream derivation above, so existing positional draws are
-        # unchanged — and copied verbatim into process-backend workers, which
+        # unchanged — and copied verbatim into the process carrier's workers, which
         # rebuild providers from a placeholder seed.
         self._stream_entropy: tuple[int, ...] = tuple(
             int(value)
@@ -288,7 +288,7 @@ class DataProvider:
 
         Fired by :meth:`rebuild_layout` and :meth:`compact` *after* the new
         layout, metadata, and epoch are installed.  The aggregator uses this
-        to eagerly tear down process-pool workers (and their shared-memory
+        to eagerly tear down hosted worker processes (and their shared-memory
         snapshots of the old layout) instead of detecting the stale epoch
         lazily on the next batch.
         """
@@ -330,7 +330,7 @@ class DataProvider:
         Any rows still buffered in the delta store are folded into the base
         table first, so a rebuild always absorbs pending ingest — the
         rebuilt clustering is exactly ``from_table`` on the union of rows.
-        Layout-change subscribers (the aggregator's eager process-pool
+        Layout-change subscribers (the aggregator's eager worker
         invalidation) fire after the new layout is installed.
 
         Parameters

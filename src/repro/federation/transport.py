@@ -3,7 +3,9 @@
 The federated protocol is message-shaped — a query request, two noisy
 scalars, one integer allocation, one noisy estimate per provider — so the
 aggregator/provider boundary can become a real wire without touching DP
-semantics.  This module supplies three interchangeable transports:
+semantics.  This module is the **one** way to run a provider somewhere
+else; it supplies four interchangeable carriers of the same request/reply
+envelope (``{seq, op, provider, payload}`` → :func:`serve_request`):
 
 ``InProcessTransport``
     Today's direct method calls.  The default; zero overhead, no wire.
@@ -25,31 +27,50 @@ semantics.  This module supplies three interchangeable transports:
     :class:`~repro.errors.TransportTimeoutError`, which the aggregator's
     retry/degrade/quarantine path treats exactly like a failed provider.
 
+``ProcessTransport``
+    One persistent worker process per provider, over a pipe; the worker
+    maps the provider's rows from shared memory
+    (:mod:`repro.federation.procpool`).  A dead or hung worker is a lost
+    connection, and this carrier's "reconnect" is a respawn.
+
+Whether providers work concurrently is a property of the carrier, never a
+setting: the aggregator posts a phase to every provider before it awaits
+the first reply, which only endpoints in other processes can exploit — the
+other three run each call to completion, strictly in order.  The ``RAQP``
+tagged-JSON codec below is the only codec for wires that leave the process
+tree; the pipe between a parent and its own child keeps
+:mod:`multiprocessing`'s object transport (both ends run this very code,
+and the JSON codec costs more per batch than process hosting saves — see
+``docs/performance.md``).
+
 Unlike the :class:`~repro.federation.network.SimulatedNetwork` — which
 models the *paper's* cost accounting and stays authoritative for traces —
-the serializing transports account their **real** framed traffic in their
-own :class:`~repro.federation.network.NetworkStats`: ``messages`` counts
-frames, ``bytes_sent`` counts framed bytes, and ``frames_duplicated``
-counts reply frames delivered more than once and discarded by the
-receiver's sequence check.
+the wire carriers account their **real** traffic in their own
+:class:`~repro.federation.network.NetworkStats`: ``messages`` counts
+frames (pipe envelopes on the process carrier), ``bytes_sent`` counts
+framed (pickled) bytes, and ``frames_duplicated`` counts reply frames
+delivered more than once and discarded by the receiver's sequence check.
 
 **Determinism.**  The wire codec round-trips every value exactly: integers
 stay integers, floats serialise via ``repr`` (which round-trips IEEE-754
 doubles bit-for-bit), tuples and numpy arrays are tagged so their types
 survive.  Provider-side randomness is keyed by ``seed_material`` and
-request order, both of which the codec preserves — so loopback, socket,
-and in-process federations are bit-identical under a fixed seed.
+request order, both of which every carrier preserves — so process, socket,
+loopback, and in-process federations are bit-identical under a fixed seed.
 
 **Fault points.**  When the owning aggregator installs a
-:class:`~repro.testing.faults.FaultInjector`, the serializing transports
-consult it once per phase call: ``drop_frame`` loses the request frame
-before the provider ever runs, ``disconnect`` tears the connection down
-mid-phase, ``delay_frame`` stalls the call for
+:class:`~repro.testing.faults.FaultInjector`, the wire carriers consult it
+once per phase call: ``drop_frame`` loses the request frame before the
+provider ever runs, ``disconnect`` tears the connection down mid-phase
+(the process carrier kills the worker), ``delay_frame`` stalls the call for
 :attr:`~repro.testing.faults.FaultSpec.delay_seconds`, and
 ``duplicate_frame`` delivers the reply twice (the duplicate is discarded
 by sequence number and counted).  Drops and disconnects raise
 :class:`~repro.errors.TransportError` *before* the provider consumes any
 randomness, so a retried attempt is bit-identical to a never-faulted one.
+Provider faults (worker crash, hang, killed connection) are offered to the
+carrier through :meth:`Transport.inject`; only the process carrier can
+make them happen for real.
 """
 
 from __future__ import annotations
@@ -58,12 +79,13 @@ import asyncio
 import base64
 import dataclasses
 import json
+import pickle
 import socket as socket_module
 import struct
 import threading
 import time
 from contextlib import nullcontext
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -72,6 +94,8 @@ from ..core.accounting import QueryBudget
 from ..core.result import ProviderReport
 from ..errors import ReproError, TransportError, TransportTimeoutError
 from ..query.model import Aggregation, Interval, RangeQuery
+from ..storage.layout import KernelTelemetry, merge_active_telemetry, telemetry_active
+from ..storage.table import Table
 from .messages import (
     AllocationMessage,
     EstimateMessage,
@@ -81,6 +105,7 @@ from .messages import (
     SummaryMessage,
 )
 from .network import NetworkStats
+from .procpool import ProviderHost
 from .provider import DataProvider, LocalAnswer
 
 __all__ = [
@@ -88,7 +113,9 @@ __all__ = [
     "InProcessTransport",
     "LoopbackTransport",
     "SocketTransport",
+    "ProcessTransport",
     "create_transport",
+    "serve_request",
     "serialize",
     "deserialize",
     "encode_frame",
@@ -305,6 +332,88 @@ def _execute_op(provider: DataProvider, op: str, payload: dict[str, Any]) -> Any
     raise TransportError(f"unknown transport op {op!r}")
 
 
+_WIRE_OPS = ("summary", "answer", "forget", "ping")
+"""Ops any peer may request.  Endpoints add their own through
+``local_ops`` (the process carrier's worker accepts ``ingest``)."""
+
+
+def serve_request(
+    providers: Sequence[DataProvider],
+    envelope: Any,
+    *,
+    tracer: Any | None = None,
+    kind: str,
+    local_ops: Mapping[str, Callable[[DataProvider, dict], Any]] | None = None,
+    **span_tags: Any,
+) -> dict[str, Any]:
+    """Serve one decoded request envelope: the server boundary of every carrier.
+
+    The envelope comes from outside, so it is validated before anything is
+    indexed with it.  One that cannot even be answered — not a mapping, or
+    without an integer ``seq`` to address the reply to — raises
+    :class:`~repro.errors.TransportError` and the carrier drops the
+    connection.  Anything else becomes a reply: an unknown ``op``, a
+    ``provider`` outside ``[0, len(providers))`` or a payload that is not a
+    mapping is answered with a typed ``TransportError`` reply, and an
+    exception raised by the provider travels home the same way.
+    """
+    if not isinstance(envelope, dict):
+        raise TransportError(
+            f"request envelope must be a mapping, got {type(envelope).__name__}"
+        )
+    seq = envelope.get("seq")
+    if not isinstance(seq, int) or isinstance(seq, bool):
+        raise TransportError(f"request envelope carries no integer seq: {seq!r}")
+    try:
+        op = envelope.get("op")
+        handler = local_ops.get(op) if local_ops and isinstance(op, str) else None
+        if handler is None and op not in _WIRE_OPS:
+            raise TransportError(f"unknown transport op {op!r}")
+        index = envelope.get("provider")
+        if (
+            not isinstance(index, int)
+            or isinstance(index, bool)
+            or not 0 <= index < len(providers)
+        ):
+            raise TransportError(
+                f"provider index {index!r} is outside [0, {len(providers)})"
+            )
+        payload = envelope.get("payload")
+        if not isinstance(payload, dict):
+            raise TransportError(
+                f"{op} payload must be a mapping, got {type(payload).__name__}"
+            )
+        provider = providers[index]
+
+        def execute() -> Any:
+            if handler is not None:
+                return handler(provider, payload)
+            return _execute_op(provider, op, payload)
+
+        trace_parent = payload.pop("trace", None)
+        if trace_parent is not None and tracer is not None:
+            with tracer.span(
+                f"provider.{op}",
+                parent=tuple(trace_parent),
+                provider=provider.provider_id,
+                side="server",
+                transport=kind,
+                **span_tags,
+            ):
+                result = execute()
+        else:
+            result = execute()
+        return {"seq": seq, "ok": result}
+    except Exception as error:  # noqa: BLE001 - the wire carries it home
+        return {"seq": seq, "err": [type(error).__name__, str(error)]}
+
+
+def _phase_result(op: str, reply: dict[str, Any]) -> tuple[list, list[bool]]:
+    """``(messages or answers, reuse flags)`` out of a phase reply."""
+    items = reply["messages" if op == "summary" else "answers"]
+    return list(items), [bool(flag) for flag in reply["reuse"]]
+
+
 class Transport:
     """Carries the per-provider protocol phases of one federation.
 
@@ -314,6 +423,12 @@ class Transport:
     logic.  ``stats`` accounts the transport's real framed traffic (all
     zeros for the in-process transport, which has no wire); an installed
     ``fault_injector`` supplies scripted transport faults for chaos runs.
+
+    The remaining hooks (:meth:`post_summary` / :meth:`post_answer`,
+    :meth:`mirror_ingest`, :meth:`drop_sessions`, :meth:`inject`,
+    :meth:`layout_changed`) have defaults that are right for every carrier
+    whose endpoints serve the aggregator's own provider objects; a carrier
+    that hosts *copies* of the providers elsewhere overrides them.
     """
 
     kind = "abstract"
@@ -332,6 +447,11 @@ class Transport:
         self.tracer = tracer
         self.closed = False
         self._stats_lock = threading.Lock()
+        # What only a hosting carrier fills: its own counters (respawns, delta
+        # rows shipped through shared memory) and the kernel work its
+        # endpoints reported back.
+        self.carrier_stats: dict[str, int] = {}
+        self.kernel_telemetry = KernelTelemetry()
 
     # Phase calls ---------------------------------------------------------------
 
@@ -361,6 +481,54 @@ class Transport:
     def forget_batch(self, index: int, query_ids: Sequence[int]) -> None:
         """Release provider ``index``'s sessions for the given query ids."""
         raise NotImplementedError
+
+    def post_summary(self, index, requests, epsilon_allocation, *, attempt=1):
+        """Start :meth:`summary_batch` on provider ``index``; call the result to wait.
+
+        The aggregator posts a phase to every provider before it awaits the
+        first reply.  Where the endpoint shares this process (or a blocking
+        connection) the whole call runs right here, so the fan-out stays
+        strictly sequential; only a carrier with endpoints in other
+        processes returns before the provider has run.
+        """
+        result = self.summary_batch(index, requests, epsilon_allocation, attempt=attempt)
+        return lambda: result
+
+    def post_answer(self, index, allocations, budget, use_smc, *, attempt=1):
+        """Start :meth:`answer_batch` on provider ``index`` (see :meth:`post_summary`)."""
+        result = self.answer_batch(index, allocations, budget, use_smc, attempt=attempt)
+        return lambda: result
+
+    # Hosting hooks -------------------------------------------------------------
+
+    def mirror_ingest(self, index: int, rows: Table) -> None:
+        """Show rows about to be appended to provider ``index`` to its endpoint.
+
+        A no-op here: the endpoint *is* the object the aggregator appends to.
+        """
+
+    def drop_sessions(self, index: int, query_ids: Sequence[int]) -> None:
+        """Last resort when :meth:`forget_batch` failed: the sessions must still go.
+
+        The providers live in this process, so release them directly (the
+        forget is idempotent either way).
+        """
+        self.providers[index].forget_batch(query_ids)
+
+    def inject(self, index: int, fault: Any) -> bool:
+        """Offer the carrier a scripted provider fault (crash, hang, killed pipe).
+
+        Returns whether the upcoming call should go ahead and fail on its
+        own.  In-process providers cannot genuinely crash or hang, so the
+        default declines and the aggregator fails the attempt instead.
+        """
+        return False
+
+    def layout_changed(self) -> None:
+        """A provider re-clustered (compaction, ``rebuild_layout``).
+
+        Nothing to do where the endpoints serve the live provider objects.
+        """
 
     # Lifecycle -----------------------------------------------------------------
 
@@ -449,30 +617,11 @@ class _SerializingTransport(Transport):
             self._seq += 1
             return self._seq
 
-    def _serve_request(self, envelope: dict[str, Any]) -> dict[str, Any]:
+    def _serve_request(self, envelope: Any) -> dict[str, Any]:
         """Execute one decoded request envelope; exceptions become replies."""
-        try:
-            provider = self.providers[envelope["provider"]]
-            op = envelope["op"]
-            payload = envelope["payload"]
-            trace_parent = payload.pop("trace", None) if isinstance(payload, dict) else None
-            if trace_parent is not None and self.tracer is not None:
-                with self.tracer.span(
-                    f"provider.{op}",
-                    parent=tuple(trace_parent),
-                    provider=provider.provider_id,
-                    side="server",
-                    transport=self.kind,
-                ):
-                    result = _execute_op(provider, op, payload)
-            else:
-                result = _execute_op(provider, op, payload)
-            return {"seq": envelope["seq"], "ok": result}
-        except Exception as error:  # noqa: BLE001 - the wire carries it home
-            return {
-                "seq": envelope["seq"],
-                "err": [type(error).__name__, str(error)],
-            }
+        return serve_request(
+            self.providers, envelope, tracer=self.tracer, kind=self.kind
+        )
 
     def _unwrap(self, envelope: dict[str, Any], index: int) -> Any:
         if "err" in envelope:
@@ -522,6 +671,34 @@ class _SerializingTransport(Transport):
     def _roundtrip(self, index, op, payload, *, fault, duplicate):
         raise NotImplementedError
 
+    def _disconnect(self, index: int) -> None:
+        """Tear down whatever connects this side to provider ``index``."""
+
+    def _fail(self, fault, index: int, op: str) -> None:
+        """Act out a destructive wire fault: the request never reaches the provider."""
+        provider_id = self.providers[index].provider_id
+        if fault.kind == "drop_frame":
+            with self._stats_lock:
+                self.stats.messages_dropped += 1
+            raise TransportError(
+                f"request frame lost on its way to provider {provider_id!r} "
+                f"during {op}"
+            )
+        self._disconnect(index)
+        raise TransportError(
+            f"connection to provider {provider_id!r} dropped during {op}"
+        )
+
+    def _frame_request(self, index, op, payload, *, fault, **flags) -> tuple[int, bytes]:
+        """Frame (and count) one request envelope; a destructive fault strikes here."""
+        seq = self._next_seq()
+        request = {"seq": seq, "op": op, "provider": index, "payload": payload, **flags}
+        frame = encode_frame(serialize(request), self.max_frame_bytes)
+        self._count_frame(len(frame))
+        if fault is not None:
+            self._fail(fault, index, op)
+        return seq, frame
+
     # Phase calls ---------------------------------------------------------------
 
     def summary_batch(self, index, requests, epsilon_allocation, *, attempt=1):
@@ -532,7 +709,7 @@ class _SerializingTransport(Transport):
             phase="summary",
             attempt=attempt,
         )
-        return list(reply["messages"]), [bool(flag) for flag in reply["reuse"]]
+        return _phase_result("summary", reply)
 
     def answer_batch(self, index, allocations, budget, use_smc, *, attempt=1):
         reply = self._call(
@@ -546,7 +723,7 @@ class _SerializingTransport(Transport):
             phase="answer",
             attempt=attempt,
         )
-        return list(reply["answers"]), [bool(flag) for flag in reply["reuse"]]
+        return _phase_result("answer", reply)
 
     def forget_batch(self, index, query_ids):
         self._call(index, "forget", {"query_ids": [int(qid) for qid in query_ids]})
@@ -565,21 +742,7 @@ class LoopbackTransport(_SerializingTransport):
 
     def _roundtrip(self, index, op, payload, *, fault, duplicate):
         provider_id = self.providers[index].provider_id
-        seq = self._next_seq()
-        request = serialize({"seq": seq, "op": op, "provider": index, "payload": payload})
-        frame = encode_frame(request, self.max_frame_bytes)
-        self._count_frame(len(frame))
-        if fault is not None:
-            if fault.kind == "drop_frame":
-                with self._stats_lock:
-                    self.stats.messages_dropped += 1
-                raise TransportError(
-                    f"request frame lost on its way to provider {provider_id!r} "
-                    f"during {op}"
-                )
-            raise TransportError(
-                f"connection to provider {provider_id!r} dropped during {op}"
-            )
+        seq, frame = self._frame_request(index, op, payload, fault=fault)
         reply_frames: list[bytes] = []
         for request_frame in self._server_decoders[index].feed(frame):
             reply = self._serve_request(deserialize(request_frame))
@@ -698,12 +861,11 @@ class SocketTransport(_SerializingTransport):
                 data = await reader.read(65536)
                 if not data:
                     break
-                try:
-                    frames = decoder.feed(data)
-                except TransportError:
-                    # Garbage on the wire: the stream has lost sync, so the
-                    # only safe response is to drop the connection.
-                    break
+                # Garbage on the wire (the stream lost sync), a frame that
+                # does not decode, or an envelope with no seq to address a
+                # reply to: a TransportError here reaches the handler below
+                # and the only safe response is to drop the connection.
+                frames = decoder.feed(data)
                 for frame in frames:
                     envelope = deserialize(frame)
                     reply = await self._loop.run_in_executor(
@@ -718,7 +880,7 @@ class SocketTransport(_SerializingTransport):
                         self._count_frame(len(reply_frame))
                         writer.write(reply_frame)
                     await writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
+        except (ConnectionError, TransportError, asyncio.CancelledError):
             pass
         finally:
             try:
@@ -748,7 +910,7 @@ class SocketTransport(_SerializingTransport):
             self._connections[index] = connection
             return connection
 
-    def _drop_connection(self, index: int) -> None:
+    def _disconnect(self, index: int) -> None:
         with self._connections_lock:
             connection = self._connections.pop(index, None)
         if connection is not None:
@@ -756,42 +918,21 @@ class SocketTransport(_SerializingTransport):
 
     def _roundtrip(self, index, op, payload, *, fault, duplicate):
         provider_id = self.providers[index].provider_id
-        seq = self._next_seq()
-        request: dict[str, Any] = {
-            "seq": seq,
-            "op": op,
-            "provider": index,
-            "payload": payload,
-        }
-        if duplicate:
-            request["dup"] = True
-        frame = encode_frame(serialize(request), self.max_frame_bytes)
-        self._count_frame(len(frame))
-        if fault is not None:
-            if fault.kind == "drop_frame":
-                with self._stats_lock:
-                    self.stats.messages_dropped += 1
-                raise TransportError(
-                    f"request frame lost on its way to provider {provider_id!r} "
-                    f"during {op}"
-                )
-            self._drop_connection(index)
-            raise TransportError(
-                f"connection to provider {provider_id!r} dropped during {op}"
-            )
+        flags = {"dup": True} if duplicate else {}
+        seq, frame = self._frame_request(index, op, payload, fault=fault, **flags)
         connection = self._connection(index)
         with connection.lock:
             try:
                 connection.sock.sendall(frame)
                 return self._read_reply(connection, seq, expect_duplicate=duplicate)
             except socket_module.timeout as error:
-                self._drop_connection(index)
+                self._disconnect(index)
                 raise TransportTimeoutError(
                     f"provider {provider_id!r} did not answer {op} within "
                     f"{self._call_timeout}s"
                 ) from error
             except OSError as error:
-                self._drop_connection(index)
+                self._disconnect(index)
                 raise TransportError(
                     f"connection to provider {provider_id!r} failed during {op}: "
                     f"{error}"
@@ -854,11 +995,318 @@ class SocketTransport(_SerializingTransport):
             self._thread.join(timeout=5.0)
 
 
+_WORKER_READY_TIMEOUT = 60.0
+"""Seconds a (re)started worker gets to rebuild its provider (and to replay
+a summary) before the start counts as failed."""
+
+
+class ProcessTransport(_SerializingTransport):
+    """One persistent worker process per provider, reached over a pipe.
+
+    The workers start on the first call: each provider's table is exported
+    once into shared memory and its pending delta rows pre-loaded into a
+    shared append buffer (:class:`~repro.federation.procpool.ProviderHost`),
+    so rows never cross the pipe — only envelopes do.  Sessions and release
+    caches live worker-side; after every reply the parent provider adopts
+    the worker's RNG position, so a worker can always be restarted from
+    the parent object.
+
+    A worker that dies, hangs past ``provider_timeout_seconds`` or loses
+    sync is killed and the call raises :class:`~repro.errors.TransportError`
+    / :class:`~repro.errors.TransportTimeoutError`.  The next call to that
+    provider respawns it over the *existing* blocks: from the parent's
+    current stream position, or — ahead of an answer, whose sessions died
+    with the worker — from the checkpoint taken when the batch's summary
+    was posted, replaying that summary so sessions and draws are rebuilt
+    bit-identically (release caches start cold).
+
+    A provider re-clustering invalidates every worker's snapshot of it:
+    :meth:`layout_changed` stops the workers and unlinks every block, and
+    the next call starts fresh ones on the new layout.
+    """
+
+    kind = "process"
+
+    def __init__(
+        self, providers, *, resilience=None, max_frame_bytes=DEFAULT_MAX_FRAME_BYTES, tracer=None
+    ):
+        super().__init__(providers, max_frame_bytes=max_frame_bytes, tracer=tracer)
+        self._call_timeout = (
+            resilience.provider_timeout_seconds if resilience is not None else 30.0
+        )
+        self._hosts: list[ProviderHost] = []
+        self._chaos: dict[int, Any] = {}
+        # Per provider: the stream position and payload of the last summary
+        # posted to it — where a worker respawned mid-batch restarts from.
+        self._checkpoints: dict[int, tuple[dict, dict[str, Any]]] = {}
+        # ``delta_rows_pickled_bytes`` stays zero by construction; it exists
+        # so a regression that puts rows on the pipe is caught by a test
+        # rather than by a profiler.
+        self.carrier_stats = dict.fromkeys(
+            (
+                "workers_respawned",
+                "delta_rows_shipped",
+                "delta_shared_bytes",
+                "delta_rows_pickled_bytes",
+            ),
+            0,
+        )
+
+    def shared_block_names(self) -> tuple[str, ...]:
+        """Names of every live shared-memory block the carrier owns.
+
+        The leak-regression tests attach by name after a crash to prove
+        everything was unlinked.
+        """
+        return tuple(name for host in self._hosts for name in host.block_names())
+
+    def live_workers(self) -> int:
+        """Number of workers currently reachable over their pipes."""
+        return sum(host.alive for host in self._hosts)
+
+    # Worker lifecycle ----------------------------------------------------------
+
+    def _start(self) -> None:
+        """Export every provider and start its worker (the bootstraps overlap)."""
+        try:
+            for provider in self.providers:
+                host = ProviderHost(provider)
+                self._hosts.append(host)
+                if provider.delta.watermark:
+                    # Pending (uncompacted) rows reach the worker through
+                    # the shared buffer, never through the spec.
+                    self._append_delta(
+                        host, provider.delta.rows_upto(provider.delta.watermark)
+                    )
+                host.start(provider._rng.bit_generator.state)
+            for host in self._hosts:
+                host.await_ready(_WORKER_READY_TIMEOUT)
+        except BaseException:
+            self.layout_changed()
+            raise
+
+    def _append_delta(self, host: ProviderHost, rows: Table) -> tuple[int, int]:
+        self.carrier_stats["delta_rows_shipped"] += rows.num_rows
+        self.carrier_stats["delta_shared_bytes"] += (
+            rows.num_rows * host.delta_buffer.row_bytes
+        )
+        return host.delta_buffer.append(rows)
+
+    def _connect(self, index: int, op: str) -> ProviderHost:
+        """Provider ``index``'s host with a live worker behind it."""
+        if self.closed:
+            raise TransportError("transport is closed")
+        if not self._hosts:
+            self._start()
+        host = self._hosts[index]
+        if host.alive:
+            return host
+        provider = self.providers[index]
+        rng_state, summary = provider._rng.bit_generator.state, None
+        if op == "answer" and index in self._checkpoints:
+            rng_state, summary = self._checkpoints[index]
+        try:
+            host.start(rng_state)
+            host.await_ready(_WORKER_READY_TIMEOUT)
+            if summary is not None:
+                # Output discarded: the original release was already
+                # delivered and accounted before the worker died.
+                seq = self._send(host, "summary", dict(summary))
+                reply = self._receive(index, host, seq, "summary", _WORKER_READY_TIMEOUT)
+                self._unwrap(reply, index)
+        except (ReproError, OSError) as error:
+            host.kill()
+            raise TransportError(
+                f"could not respawn the worker of provider "
+                f"{provider.provider_id!r}: {error}"
+            ) from error
+        self.carrier_stats["workers_respawned"] += 1
+        return host
+
+    def _disconnect(self, index: int) -> None:
+        if self._hosts:
+            self._hosts[index].kill()
+
+    # Pipe I/O ------------------------------------------------------------------
+
+    def _send(self, host: ProviderHost, op: str, payload: dict[str, Any], **flags) -> int:
+        """Put one request envelope on the worker's pipe; returns its seq."""
+        for value in payload.values():
+            if isinstance(value, Table):
+                self.carrier_stats["delta_rows_pickled_bytes"] += value.memory_bytes()
+        seq = self._next_seq()
+        data = pickle.dumps(
+            {"seq": seq, "op": op, "provider": 0, "payload": payload, **flags},
+            pickle.HIGHEST_PROTOCOL,
+        )
+        try:
+            host.conn.send_bytes(data)
+        except OSError as error:
+            host.kill()
+            raise TransportError(
+                f"provider worker died ({host.provider.provider_id!r}): {error!r}"
+            ) from error
+        self._count_frame(len(data))
+        return seq
+
+    def _receive(
+        self, index: int, host: ProviderHost, seq: int, op: str, timeout: float | None
+    ) -> dict[str, Any]:
+        """Wait for the reply to ``seq``; what rides on a reply is absorbed here."""
+        provider = self.providers[index]
+        while True:
+            try:
+                if not host.conn.poll(timeout):
+                    host.kill()
+                    raise TransportTimeoutError(
+                        f"provider {provider.provider_id!r} did not answer {op} "
+                        f"within {timeout}s"
+                    )
+                data = host.conn.recv_bytes()
+            except (EOFError, OSError) as error:
+                host.kill()
+                raise TransportError(
+                    f"provider worker died ({provider.provider_id!r}, during {op}): "
+                    f"{error!r}"
+                ) from error
+            self._count_frame(len(data))
+            reply = pickle.loads(data)
+            if "rng" in reply:
+                # Mirror the worker's stream position onto the parent
+                # provider — also for the reply of a call whose waiter never
+                # ran (its batch died first): the worker did consume it.
+                provider._rng.bit_generator.state = reply["rng"]
+            if "telemetry" in reply:
+                merge_active_telemetry(reply["telemetry"])
+                self.kernel_telemetry.merge_counts(reply["telemetry"])
+            if "spans" in reply and self.tracer is not None:
+                self.tracer.absorb(reply["spans"])
+            if reply["seq"] == seq:
+                return reply
+
+    def _post(
+        self, index: int, op: str, payload: dict[str, Any], *, fault, duplicate
+    ) -> Callable[[], dict[str, Any]]:
+        """Send one request; the returned thunk waits for its reply envelope."""
+        if fault is not None:
+            self._fail(fault, index, op)
+        if op == "summary":
+            self._checkpoints[index] = (
+                self.providers[index]._rng.bit_generator.state,
+                dict(payload),
+            )
+        host = self._connect(index, op)
+        chaos = self._chaos.pop(index, None)
+        if chaos is not None:
+            # A one-way directive just ahead of the real request; the
+            # worker never sees the schedule.
+            self._send(host, "chaos", {"kind": chaos.kind, "seconds": chaos.hang_seconds})
+        flags = {"dup": True} if duplicate else {}
+        if telemetry_active():
+            flags["telemetry"] = True
+        seq = self._send(host, op, payload, **flags)
+
+        def wait() -> dict[str, Any]:
+            reply = self._receive(index, host, seq, op, self._call_timeout)
+            if duplicate:
+                self._receive(index, host, seq, op, self._call_timeout)
+                with self._stats_lock:
+                    self.stats.frames_duplicated += 1
+            return reply
+
+        return wait
+
+    def _roundtrip(self, index, op, payload, *, fault, duplicate):
+        return self._post(index, op, payload, fault=fault, duplicate=duplicate)()
+
+    # Phase calls ---------------------------------------------------------------
+
+    def _post_phase(self, op: str, index: int, attempt: int, payload: dict[str, Any]):
+        # No client-side rpc span: the calls of one phase overlap, and the
+        # worker's provider span hangs under the caller's attempt span.
+        context = self.tracer.context() if self.tracer is not None else None
+        if context is not None:
+            payload["trace"] = context
+        fault, duplicate = self._take_fault(op, index, attempt)
+        wait = self._post(index, op, payload, fault=fault, duplicate=duplicate)
+        return lambda: _phase_result(op, self._unwrap(wait(), index))
+
+    def post_summary(self, index, requests, epsilon_allocation, *, attempt=1):
+        payload = {"requests": list(requests), "epsilon": float(epsilon_allocation)}
+        return self._post_phase("summary", index, attempt, payload)
+
+    def post_answer(self, index, allocations, budget, use_smc, *, attempt=1):
+        payload = {
+            "allocations": list(allocations),
+            "budget": budget,
+            "use_smc": bool(use_smc),
+        }
+        return self._post_phase("answer", index, attempt, payload)
+
+    def forget_batch(self, index, query_ids):
+        # A worker that is down (or was never started) holds no sessions.
+        if self._hosts and self._hosts[index].alive:
+            super().forget_batch(index, query_ids)
+
+    # Hosting hooks -------------------------------------------------------------
+
+    def mirror_ingest(self, index, rows):
+        """Append to the provider's shared delta buffer and tell its worker.
+
+        Only a ``(buffer, start, stop)`` descriptor crosses the pipe.  With
+        the worker down (or the carrier not started) the rows just wait in
+        the buffer — every (re)start loads it whole.  A worker that fails
+        the mirror is killed for the same reason: its successor catches up.
+        """
+        if not self._hosts:
+            return
+        host = self._hosts[index]
+        start, stop = self._append_delta(host, rows)
+        if host.alive:
+            descriptor = {"buffer": host.delta_buffer.spec(), "start": start, "stop": stop}
+            try:
+                self._call(index, "ingest", descriptor)
+            except ReproError:
+                host.kill()
+
+    def drop_sessions(self, index, query_ids):
+        """The sessions live in the worker: they die with it (next call respawns)."""
+        self._disconnect(index)
+
+    def inject(self, index, fault):
+        if fault.kind == "kill_connection":
+            # The pipe dies under the parent, taking the call with it.
+            self._disconnect(index)
+            return False
+        if fault.kind in ("crash_worker", "hang_worker"):
+            self._chaos[index] = fault
+            return True
+        return False
+
+    def layout_changed(self) -> None:
+        """Stop the workers and unlink every shared block (idempotent)."""
+        hosts, self._hosts = self._hosts, []
+        for host in hosts:
+            host.close()
+
+    # Lifecycle -----------------------------------------------------------------
+
+    def close(self) -> None:
+        self.closed = True
+        self.layout_changed()
+
+    def __del__(self) -> None:  # pragma: no cover - best-effort safety net
+        try:
+            self.close()
+        except Exception:
+            pass
+
+
 def create_transport(config, providers, *, resilience=None, tracer=None) -> Transport:
     """Build the transport selected by a :class:`~repro.config.TransportConfig`.
 
     ``None`` (or kind ``"inprocess"``) keeps today's direct calls.  An
-    optional ``tracer`` makes the serializing transports record client-side
+    optional ``tracer`` makes the wire carriers record client-side
     ``rpc.*`` and server-side ``provider.*`` spans per call.
     """
     kind = "inprocess" if config is None else config.kind
@@ -874,6 +1322,13 @@ def create_transport(config, providers, *, resilience=None, tracer=None) -> Tran
             resilience=resilience,
             max_frame_bytes=config.max_frame_bytes,
             connect_timeout_seconds=config.connect_timeout_seconds,
+            tracer=tracer,
+        )
+    if kind == "process":
+        return ProcessTransport(
+            providers,
+            resilience=resilience,
+            max_frame_bytes=config.max_frame_bytes,
             tracer=tracer,
         )
     raise TransportError(f"unknown transport kind {kind!r}")

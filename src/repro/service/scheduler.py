@@ -20,8 +20,8 @@ onto one :class:`~repro.core.system.FederatedAQPSystem`:
   round-trips across tenants.
 * **Dispatch** — batches execute FIFO on one dispatcher worker (the
   federation's providers are a shared, stateful resource; intra-batch
-  parallelism comes from :class:`~repro.config.ParallelismConfig`'s
-  thread/process fan-out), with up to ``max_in_flight_batches`` batches in
+  parallelism comes from the ``"process"`` transport carrier's
+  per-provider workers), with up to ``max_in_flight_batches`` batches in
   the pipeline so result routing overlaps the next batch's execution.
 * **Settlement** — per-query actual charges come back from the engine
   (reuse-discounted, zero for fully cached queries), are grouped per
@@ -76,8 +76,8 @@ Determinism: every query's provider noise streams are keyed by
 :meth:`~repro.service.tenants.Tenant.next_seed_token`), and coalescing order
 is canonical — so under a fixed system seed, a tenant's answers are
 bit-identical however its submissions interleave with other tenants', and
-identical to running the tenant's workload alone, across the serial, thread,
-and process backends.  (With the release caches enabled, *charges* can
+identical to running the tenant's workload alone, on every transport
+carrier.  (With the release caches enabled, *charges* can
 additionally drop when another tenant's traffic already released a repeated
 predicate — that cross-tenant reuse is what keeps fleet-wide epsilon spend
 sublinear in tenant count on overlapping workloads.)

@@ -2,7 +2,7 @@
 
 Currently holds the deterministic fault-injection layer
 (:mod:`repro.testing.faults`) used by the chaos test suite and wired into
-the engine through :attr:`repro.config.ParallelismConfig.injected_faults`.
+the engine through :attr:`repro.config.SystemConfig.injected_faults`.
 Living in ``src`` (not ``tests/``) is deliberate: the engine itself honours
 the hooks, so downstream users can chaos-test their own deployments.
 """

@@ -5,11 +5,11 @@ down, crash, or disappear mid-protocol.  This module gives the test suite a
 way to *script* those failures instead of hoping for them:
 
 * a :class:`FaultSpec` names one failure — drop a provider, crash or hang a
-  process-pool worker, kill a worker connection, delay or drop a simulated
-  network message — pinned to a protocol phase (``"summary"`` vs.
-  ``"answer"``) of a chosen batch;
+  provider's worker process, kill a worker connection, lose/stall/duplicate
+  a transport frame, delay or drop a simulated network message — pinned to
+  a protocol phase (``"summary"`` vs. ``"answer"``) of a chosen batch;
 * a :class:`FaultSchedule` is a frozen, hashable set of specs.  It rides on
-  :attr:`~repro.config.ParallelismConfig.injected_faults`, and
+  :attr:`~repro.config.SystemConfig.injected_faults`, and
   :meth:`FaultSchedule.from_seed` derives one deterministically from an
   integer seed, so a randomised chaos run replays bit-identically from its
   seed alone;
@@ -19,12 +19,16 @@ way to *script* those failures instead of hoping for them:
   :attr:`FaultInjector.trace` — the failure trace that replay tests compare
   and that CI uploads on a red chaos run.
 
-Faults are consumed **parent-side only**: worker processes never see the
-schedule.  A ``crash_worker``/``hang_worker`` spec makes the pool send a
-tiny chaos directive ahead of the real command (the worker then calls
-``os._exit`` or sleeps); ``drop_provider`` and ``kill_connection`` are
-applied at the call site.  This keeps the injection deterministic and the
-worker protocol untouched when no schedule is installed.
+Faults are consumed **aggregator-side only**: worker processes never see
+the schedule.  The aggregator offers each provider fault to its transport
+(:meth:`~repro.federation.transport.Transport.inject`).  On the
+``"process"`` carrier a ``crash_worker``/``hang_worker`` spec sends a tiny
+one-way chaos directive ahead of the real request (the worker then calls
+``os._exit`` or sleeps) and ``kill_connection`` kills the worker under the
+call; on carriers whose providers run in-process nothing can genuinely
+crash, so those kinds — like ``drop_provider`` everywhere — fail the
+attempt at the call site.  This keeps the injection deterministic and the
+envelope untouched when no schedule is installed.
 
 >>> schedule = FaultSchedule.from_seed(7, num_providers=4)
 >>> schedule == FaultSchedule.from_seed(7, num_providers=4)
@@ -62,7 +66,7 @@ PROVIDER_FAULT_KINDS = (
     "hang_worker",
     "kill_connection",
 )
-"""Faults applied to one provider's phase call (any backend)."""
+"""Faults applied to one provider's phase call (any transport carrier)."""
 
 MESSAGE_FAULT_KINDS = ("delay_message", "drop_message")
 """Faults applied to one :class:`~repro.federation.network.SimulatedNetwork` send."""
@@ -73,9 +77,9 @@ TRANSPORT_FAULT_KINDS = (
     "disconnect",
     "duplicate_frame",
 )
-"""Faults applied at the wire boundary of a serializing transport
-(:mod:`repro.federation.transport`), keyed by (batch, phase, provider) like
-the provider faults.  ``drop_frame`` loses the request frame before it
+"""Faults applied at the wire boundary of a transport carrier with a wire
+(:mod:`repro.federation.transport`: loopback, socket, process), keyed by
+(batch, phase, provider) like the provider faults.  ``drop_frame`` loses the request frame before it
 reaches the provider and ``disconnect`` severs the connection mid-phase —
 both surface as :class:`~repro.errors.TransportError` and enter the
 resilience retry/degrade path; ``delay_frame`` stalls the frame (a slow
@@ -184,7 +188,7 @@ class FaultSpec:
 class FaultSchedule:
     """A frozen, hashable set of scripted failures.
 
-    Hangs off :attr:`~repro.config.ParallelismConfig.injected_faults`; the
+    Hangs off :attr:`~repro.config.SystemConfig.injected_faults`; the
     owning aggregator builds one :class:`FaultInjector` per schedule at
     construction, so one schedule drives one deterministic chaos run.
     """
@@ -276,9 +280,9 @@ class FaultInjector:
     The aggregator consults :meth:`take_call_fault` before every provider
     phase call (each retry is a new attempt) and the simulated network
     consults :meth:`take_message_fault` on every send.  Consumption is
-    guarded by a lock so the thread backend's concurrent fan-out stays
-    deterministic: a spec is keyed by ``(batch, phase, provider)``, never
-    by thread timing.
+    guarded by a lock (the serving layer drives the aggregator from its
+    dispatcher thread while tests read the trace), and a spec is keyed by
+    ``(batch, phase, provider)``, never by timing.
     """
 
     def __init__(self, schedule: FaultSchedule) -> None:
@@ -321,7 +325,7 @@ class FaultInjector:
     ) -> FaultSpec | None:
         """Consume (and record) the armed transport fault for one call, if any.
 
-        Consulted by the serializing transports
+        Consulted by the wire carriers
         (:mod:`repro.federation.transport`) before each provider phase call
         crosses the wire; each retry is a new attempt, mirroring
         :meth:`take_call_fault`.

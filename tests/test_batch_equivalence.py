@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from repro.config import (
-    ParallelismConfig,
     PrivacyConfig,
     SamplingConfig,
     SystemConfig,
+    TransportConfig,
 )
 from repro.core.system import FederatedAQPSystem
 from repro.query.model import RangeQuery
@@ -51,7 +51,7 @@ def _system(
         num_providers=4,
         privacy=PrivacyConfig(epsilon=1.0, delta=1e-3),
         sampling=SamplingConfig(sampling_rate=0.2, min_clusters_for_approximation=3),
-        parallelism=ParallelismConfig(enabled=parallel),
+        transport=TransportConfig(kind="process" if parallel else "inprocess"),
         use_smc_for_result=use_smc,
         seed=97,
     )
@@ -109,9 +109,8 @@ class TestBatchSequentialEquivalence:
 
     def test_parallel_fanout_is_bit_identical(self):
         serial_batch = _system("sequential").execute_batch(WORKLOAD, compute_exact=False)
-        parallel_batch = _system("sequential", parallel=True).execute_batch(
-            WORKLOAD, compute_exact=False
-        )
+        with _system("sequential", parallel=True) as parallel_system:
+            parallel_batch = parallel_system.execute_batch(WORKLOAD, compute_exact=False)
         _assert_equivalent(serial_batch.results, parallel_batch.results)
 
     def test_batch_exact_values_match_baseline(self):

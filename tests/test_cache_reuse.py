@@ -21,10 +21,10 @@ import pytest
 
 from repro.config import (
     CacheConfig,
-    ParallelismConfig,
     PrivacyConfig,
     SamplingConfig,
     SystemConfig,
+    TransportConfig,
 )
 from repro.core.system import FederatedAQPSystem
 from repro.errors import BudgetExhaustedError, ProtocolError
@@ -65,7 +65,7 @@ def _system(
         num_providers=4,
         privacy=PrivacyConfig(epsilon=1.0, delta=1e-3),
         sampling=SamplingConfig(sampling_rate=0.2, min_clusters_for_approximation=3),
-        parallelism=ParallelismConfig(enabled=parallel),
+        transport=TransportConfig(kind="process" if parallel else "inprocess"),
         cache=cache or CacheConfig(),
         use_smc_for_result=use_smc,
         seed=97,
@@ -288,12 +288,13 @@ class TestModes:
 
     def test_parallel_fanout_matches_serial_with_cache(self):
         serial = _system(ENABLED)
-        parallel = _system(ENABLED, parallel=True)
         workload = WORKLOAD + [QUERY]
         first_serial = serial.execute_batch(workload, compute_exact=False)
-        first_parallel = parallel.execute_batch(workload, compute_exact=False)
-        _assert_equivalent(first_serial.results, first_parallel.results)
         warm_serial = serial.execute_batch(workload, compute_exact=False)
-        warm_parallel = parallel.execute_batch(workload, compute_exact=False)
+        # The process carrier's workers hold their own release caches.
+        with _system(ENABLED, parallel=True) as parallel:
+            first_parallel = parallel.execute_batch(workload, compute_exact=False)
+            warm_parallel = parallel.execute_batch(workload, compute_exact=False)
+        _assert_equivalent(first_serial.results, first_parallel.results)
         _assert_equivalent(warm_serial.results, warm_parallel.results)
         assert warm_serial.fully_cached_queries == len(workload)

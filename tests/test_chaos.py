@@ -2,20 +2,20 @@
 
 Every test scripts its failures through a
 :class:`~repro.testing.faults.FaultSchedule` riding on
-:attr:`~repro.config.ParallelismConfig.injected_faults`, so each run is
+:attr:`~repro.config.SystemConfig.injected_faults`, so each run is
 bit-replayable from the (system seed, fault seed) pair:
 
 * **replay** — the same schedule produces the same failure trace and the
   same answers, twice in a row;
-* **recovery** — a crashed or hung process-pool worker is respawned from
-  the existing shared-memory blocks and the retried phase produces answers
+* **recovery** — a crashed or hung worker of the process carrier is respawned
+  from the existing shared-memory blocks and the retried phase produces answers
   bit-identical to a run with no faults at all;
 * **degradation** — a provider that stays down is dropped from the batch:
   answers carry ``degraded`` + ``providers_missing``, survivors are charged
   exactly, and repeated failures quarantine the provider;
 * **resource safety** — an injected crash leaks no shared-memory blocks
   (the satellite regression for the abnormal-exit path) and never wedges
-  the aggregator: the next batch rebuilds the pool and answers;
+  the aggregator: the next batch rebuilds the transport and answers;
 * **accounting** — a degraded multi-tenant drain settles partial answers
   with exact per-tenant epsilon actuals and fully returned reservations;
 * **transport faults** — severed connections, slow frames, and duplicate
@@ -38,7 +38,6 @@ import numpy as np
 import pytest
 
 from repro.config import (
-    ParallelismConfig,
     PrivacyConfig,
     ResilienceConfig,
     SamplingConfig,
@@ -46,7 +45,12 @@ from repro.config import (
     TransportConfig,
 )
 from repro.core.system import FederatedAQPSystem
-from repro.errors import ConfigurationError, InjectedFaultError, ProtocolError
+from repro.errors import (
+    ConfigurationError,
+    InjectedFaultError,
+    ProtocolError,
+    TransportError,
+)
 from repro.federation.network import SimulatedNetwork
 from repro.query.model import RangeQuery
 from repro.service import SessionScheduler, TenantRegistry
@@ -86,12 +90,10 @@ def _system(
         seed=seed,
         privacy=PrivacyConfig(epsilon=1.0, delta=1e-3),
         sampling=SamplingConfig(sampling_rate=0.2),
-        parallelism=ParallelismConfig(
-            enabled=backend != "serial",
-            backend=backend if backend != "serial" else "thread",
-            max_workers=num_providers,
-            injected_faults=schedule,
+        transport=TransportConfig(
+            kind="process" if backend == "process" else "inprocess"
         ),
+        injected_faults=schedule,
         resilience=resilience or ResilienceConfig(),
     )
     return FederatedAQPSystem.from_table(_table(), config=config)
@@ -212,7 +214,7 @@ def test_network_delay_adds_simulated_latency_only():
 # -- deterministic replay -------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread"])
+@pytest.mark.parametrize("backend", ["serial"])
 def test_same_fault_seed_replays_identical_trace_and_answers(backend, chaos_trace):
     schedule = FaultSchedule.from_seed(
         5, num_providers=3, num_batches=2, num_faults=3, repeat=3
@@ -246,7 +248,7 @@ def test_injected_fault_raises_without_resilience_on_serial_backend():
         system.execute_batch(QUERIES, compute_exact=False)
 
 
-# -- graceful degradation (serial/thread) ---------------------------------------
+# -- graceful degradation (in-process providers) --------------------------------
 
 
 def test_answer_phase_drop_degrades_with_bit_identical_survivors(chaos_trace):
@@ -347,7 +349,7 @@ def test_min_providers_floor_fails_the_batch():
         system.execute_batch(QUERIES, compute_exact=False)
 
 
-# -- process backend: crash / hang / respawn ------------------------------------
+# -- process carrier: crash / hang / respawn ------------------------------------
 
 
 def test_worker_crash_recovers_bit_identical_after_retry(chaos_trace):
@@ -475,11 +477,11 @@ def test_injected_crash_without_resilience_leaks_no_shared_memory():
     system = _system("process", schedule)  # resilience disabled: crash is fatal
     try:
         system.execute_batch(QUERIES, compute_exact=False)  # batch 0: healthy
-        names = system.aggregator._process_pool.shared_block_names()
+        names = system.aggregator.transport.shared_block_names()
         assert names and _live_blocks(names) == list(names)
-        with pytest.raises(ProtocolError, match="worker died"):
+        with pytest.raises(TransportError, match="worker died"):
             system.execute_batch(QUERIES, compute_exact=False)  # batch 1: crash
-        # The abnormal-exit path closed the pool before the error propagated:
+        # The abnormal-exit path closed the transport before the error propagated:
         # every shared block must already be unlinked (the leak regression),
         # *before* anyone calls system.close().
         assert _live_blocks(names) == []
@@ -493,10 +495,10 @@ def test_failed_batch_does_not_wedge_later_batches():
     )
     system = _system("process", schedule)  # no resilience: batch 0 dies
     try:
-        with pytest.raises(ProtocolError):
+        with pytest.raises(TransportError):
             system.execute_batch(QUERIES, compute_exact=False)
-        # The closed pool must not be handed out again (wedge regression):
-        # the next batch builds a fresh pool and answers normally.
+        # The closed transport must not be handed out again (wedge regression):
+        # the next batch builds a fresh one and answers normally.
         result = system.execute_batch(QUERIES, compute_exact=False)
         assert len(result.results) == len(QUERIES)
         assert not result.degraded
@@ -507,9 +509,72 @@ def test_failed_batch_does_not_wedge_later_batches():
 def test_close_unlinks_every_shared_block():
     with _system("process") as system:
         system.execute_batch(QUERIES, compute_exact=False)
-        names = system.aggregator._process_pool.shared_block_names()
+        names = system.aggregator.transport.shared_block_names()
         assert names and _live_blocks(names) == list(names)
     assert _live_blocks(names) == []
+
+
+def test_failed_forget_kills_the_worker_and_the_federation_heals(chaos_trace, monkeypatch):
+    """The sessions of a hosted provider live in its worker, not in this
+    process: when the wire forget fails, releasing the parent object frees
+    nothing — the worker must die (its sessions with it) and be respawned."""
+    from repro.config import IngestConfig
+    from repro.core.accounting import split_query_budget
+
+    schedule = FaultSchedule.of(
+        FaultSpec(kind="crash_worker", provider_index=2, phase="answer", batch=0, repeat=8)
+    )
+    config = SystemConfig(
+        num_providers=3,
+        seed=7,
+        privacy=PrivacyConfig(epsilon=1.0, delta=1e-3),
+        sampling=SamplingConfig(sampling_rate=0.2),
+        transport=TransportConfig(kind="process"),
+        ingest=IngestConfig(max_delta_rows=50),
+        injected_faults=schedule,
+        resilience=ResilienceConfig(enabled=True, max_retries=1),
+    )
+    names: set[str] = set()
+    with FederatedAQPSystem.from_table(_table(), config=config) as system:
+        aggregator = system.aggregator
+        chaos_trace(aggregator.fault_injector)
+        # Worker killed mid-answer: the degraded batch settles exact actuals.
+        degraded = system.execute_batch(QUERIES, compute_exact=False)
+        names.update(aggregator.transport.shared_block_names())
+        assert degraded.providers_missing == ("provider-2",)
+        for result in degraded.results:
+            assert result.epsilon_spent == pytest.approx(1.0)
+            assert result.delta_spent == pytest.approx(1e-3)
+        assert aggregator.transport.live_workers() == 2
+        # A begun batch whose forget never reaches the (healthy) worker 1:
+        # the worker is killed rather than left holding the sessions.
+        phased = aggregator.begin_batch(QUERIES, split_query_budget(config.privacy))
+        assert aggregator.transport.live_workers() == 3  # batch 1 respawned worker 2
+        wire_call = aggregator.transport._call
+
+        def lossy_call(index, op, payload, **kwargs):
+            if op == "forget" and index == 1:
+                raise TransportError("forget frame lost")
+            return wire_call(index, op, payload, **kwargs)
+
+        monkeypatch.setattr(aggregator.transport, "_call", lossy_call)
+        aggregator.abandon_batch(phased)
+        monkeypatch.undo()
+        assert aggregator.transport.live_workers() == 2
+        # The next batch respawns it and answers in full ...
+        healed = system.execute_batch(QUERIES, compute_exact=False)
+        assert not healed.degraded
+        assert len(healed.results[0].provider_reports) == 3
+        # ... and so does a compaction, which no leaked session blocks.
+        receipts = system.ingest(_table(300))
+        assert all(receipt.compacted for receipt in receipts)
+        assert _live_blocks(names) == []  # the fold tore the old hosts down
+        after = system.execute_batch(QUERIES, compute_exact=False)
+        assert not after.degraded
+        names.update(aggregator.transport.shared_block_names())
+        for provider in system.providers:
+            assert provider.num_open_sessions == 0
+    assert names and _live_blocks(names) == []
 
 
 # -- acceptance: degraded multi-tenant drain ------------------------------------
@@ -523,14 +588,14 @@ def _wire_system(
     num_providers: int = 3,
     seed: int = 7,
 ) -> FederatedAQPSystem:
-    """A serial-backend system whose phase calls cross a real transport."""
+    """A system whose phase calls cross a real (loopback or socket) wire."""
     config = SystemConfig(
         num_providers=num_providers,
         seed=seed,
         privacy=PrivacyConfig(epsilon=1.0, delta=1e-3),
         sampling=SamplingConfig(sampling_rate=0.2),
         transport=TransportConfig(kind=kind),
-        parallelism=ParallelismConfig(enabled=False, injected_faults=schedule),
+        injected_faults=schedule,
         resilience=resilience or ResilienceConfig(),
     )
     return FederatedAQPSystem.from_table(_table(), config=config)
@@ -619,8 +684,6 @@ def test_transport_duplicate_delivery_is_discarded_by_seq(kind, chaos_trace):
 
 
 def test_transport_fault_without_resilience_is_fatal():
-    from repro.errors import TransportError
-
     schedule = FaultSchedule.of(
         FaultSpec(kind="drop_frame", provider_index=0, phase="summary")
     )
@@ -632,8 +695,6 @@ def test_transport_fault_without_resilience_is_fatal():
 
 @pytest.mark.parametrize("kind", ["loopback", "socket"])
 def test_fatal_transport_failure_does_not_wedge_later_batches(kind):
-    from repro.errors import TransportError
-
     schedule = FaultSchedule.of(
         FaultSpec(kind="disconnect", provider_index=1, phase="answer", batch=0)
     )
@@ -716,7 +777,7 @@ def test_degraded_drain_settles_exact_actuals_and_returns_reservations(chaos_tra
         scheduler.submit("bob", list(QUERIES[:2]))
         answers = scheduler.drain()
         chaos_trace(system.aggregator.fault_injector)
-        names = system.aggregator._process_pool.shared_block_names()
+        names = system.aggregator.transport.shared_block_names()
         assert _live_blocks(names) == list(names)
     finally:
         system.close()

@@ -9,7 +9,6 @@ import pytest
 from repro.config import (
     ExecutionConfig,
     NetworkConfig,
-    ParallelismConfig,
     PrivacyConfig,
     SamplingConfig,
     SMCConfig,
@@ -101,20 +100,6 @@ class TestSMCConfig:
             SMCConfig(field_bits=16, fixed_point_fraction_bits=20)
 
 
-class TestParallelismConfig:
-    def test_defaults_to_thread_backend(self):
-        config = ParallelismConfig()
-        assert config.backend == "thread"
-
-    def test_accepts_process_backend(self):
-        config = ParallelismConfig(enabled=True, backend="process")
-        assert config.backend == "process"
-
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ConfigurationError):
-            ParallelismConfig(backend="gpu")
-
-
 class TestExecutionConfig:
     def test_defaults(self):
         config = ExecutionConfig()
@@ -159,3 +144,12 @@ class TestSystemConfig:
     def test_rejects_negative_seed(self):
         with pytest.raises(ConfigurationError):
             SystemConfig(seed=-1)
+
+    def test_injected_faults_must_be_a_schedule(self):
+        from repro.testing import FaultSchedule
+
+        assert SystemConfig().injected_faults is None
+        schedule = FaultSchedule.from_seed(1, num_providers=2)
+        assert SystemConfig(injected_faults=schedule).injected_faults is schedule
+        with pytest.raises(ConfigurationError, match="FaultSchedule"):
+            SystemConfig(injected_faults=[("drop_provider", 0)])

@@ -15,8 +15,9 @@ import pytest
 
 from repro.config import (
     DENSE_EXECUTION,
+    CacheConfig,
     ExecutionConfig,
-    ParallelismConfig,
+    IngestConfig,
     SamplingConfig,
     SystemConfig,
     TransportConfig,
@@ -350,7 +351,6 @@ def test_system_modes_bit_identical(seed):
         "tiled-tiny": base.with_execution(
             ExecutionConfig(max_kernel_bytes=8192)
         ),
-        "thread": base.with_parallelism(ParallelismConfig(enabled=True)),
     }
     for mode, config in variants.items():
         values = _system(table, config).execute_batch(queries, compute_exact=False).values
@@ -370,9 +370,7 @@ def test_system_process_backend_bit_identical():
     )
     queries = _random_workload(rng, 6)
     reference = _system(table, base).execute_batch(queries, compute_exact=False)
-    process_config = base.with_parallelism(
-        ParallelismConfig(enabled=True, backend="process")
-    )
+    process_config = base.with_transport(TransportConfig(kind="process"))
     with _system(table, process_config) as system:
         first = system.execute_batch(queries, compute_exact=False)
         second = system.execute_batch(queries, compute_exact=False)
@@ -387,7 +385,7 @@ def test_system_process_backend_bit_identical():
 
 
 def test_system_process_backend_survives_layout_rebuild():
-    """Re-clustering a provider must rebuild the worker pool, not serve stale layouts."""
+    """Re-clustering a provider must rebuild the workers, not serve stale layouts."""
     rng = np.random.default_rng(43)
     table = _random_table(rng, 3000)
     base = SystemConfig(
@@ -397,9 +395,7 @@ def test_system_process_backend_survives_layout_rebuild():
         seed=47,
     )
     queries = _random_workload(rng, 4)
-    process_config = base.with_parallelism(
-        ParallelismConfig(enabled=True, backend="process")
-    )
+    process_config = base.with_transport(TransportConfig(kind="process"))
     reference = _system(table, base)
     reference.execute_batch(queries, compute_exact=False)
     reference.providers[0].rebuild_layout(clustering_policy="sorted")
@@ -408,26 +404,6 @@ def test_system_process_backend_survives_layout_rebuild():
         system.execute_batch(queries, compute_exact=False)
         system.providers[0].rebuild_layout(clustering_policy="sorted")
         assert system.execute_batch(queries, compute_exact=False).values == expected
-
-
-def test_system_process_backend_smc_and_shared_workers():
-    rng = np.random.default_rng(37)
-    table = _random_table(rng, 4000)
-    base = SystemConfig(
-        cluster_size=150,
-        num_providers=4,
-        sampling=SamplingConfig(sampling_rate=0.2, min_clusters_for_approximation=3),
-        seed=41,
-        use_smc_for_result=True,
-    )
-    queries = _random_workload(rng, 4)
-    reference = _system(table, base).execute_batch(queries, compute_exact=False)
-    process_config = base.with_parallelism(
-        ParallelismConfig(enabled=True, backend="process", max_workers=2)
-    )
-    with _system(table, process_config) as system:
-        values = system.execute_batch(queries, compute_exact=False).values
-    assert values == reference.values
 
 
 # -- transport / sharding equivalence matrix ------------------------------------
@@ -461,11 +437,13 @@ def test_transport_matrix_bit_identical():
     matrix = {
         "loopback": TransportConfig(kind="loopback"),
         "socket": TransportConfig(kind="socket"),
+        "process": TransportConfig(kind="process"),
         "sharded-k1": TransportConfig(shard_workers=1),
         "sharded-k2": TransportConfig(shard_workers=2),
         "sharded-k3": TransportConfig(shard_workers=3),
         "sharded-k2-loopback": TransportConfig(kind="loopback", shard_workers=2),
         "sharded-k3-socket": TransportConfig(kind="socket", shard_workers=3),
+        "sharded-k2-process": TransportConfig(kind="process", shard_workers=2),
     }
     for mode, transport in matrix.items():
         with _system(table, base.with_transport(transport)) as system:
@@ -480,6 +458,51 @@ def test_transport_matrix_bit_identical():
                 assert stats.messages == 6 * len(system.providers), mode
                 assert stats.bytes_sent > 0, mode
                 assert stats.frames_duplicated == 0, mode
+
+
+@pytest.mark.parametrize("use_smc", [False, True], ids=["dp", "smc"])
+@pytest.mark.parametrize("cache", [False, True], ids=["cache-off", "cache-on"])
+def test_carriers_agree_on_values_and_charges(cache, use_smc):
+    """process ≡ in-process ≡ socket on values AND ε/δ charges — with
+    ``seed_material``-keyed streams, live delta rows, the release caches on
+    or off and either combination path, over a cold, a warm and a
+    post-ingest batch."""
+    rng = np.random.default_rng(53)
+    table = _random_table(rng, 4000)
+    delta = _random_table(rng, 300)
+    base = SystemConfig(
+        cluster_size=150,
+        num_providers=4,
+        sampling=SamplingConfig(sampling_rate=0.2, min_clusters_for_approximation=3),
+        cache=CacheConfig(enabled=cache),
+        ingest=IngestConfig(auto_compact=False),
+        use_smc_for_result=use_smc,
+        seed=59,
+    )
+    queries = _random_workload(rng, 5)
+    tokens = [(3, index) for index in range(len(queries))]
+    fingerprints = {}
+    for kind in ("inprocess", "socket", "process"):
+        config = base.with_transport(TransportConfig(kind=kind))
+        with _system(table, config) as system:
+            batches = [
+                system.execute_batch(queries, compute_exact=False, seed_tokens=tokens)
+                for _ in range(2)
+            ]
+            system.ingest(delta)  # mirrored onto live workers, never compacted
+            assert system.total_delta_rows == delta.num_rows
+            batches.append(
+                system.execute_batch(queries, compute_exact=False, seed_tokens=tokens)
+            )
+            fingerprints[kind] = [_batch_fingerprint(batch) for batch in batches]
+            for provider in system.providers:
+                assert provider.num_open_sessions == 0
+    assert fingerprints["process"] == fingerprints["inprocess"]
+    assert fingerprints["socket"] == fingerprints["inprocess"]
+    if cache and not use_smc:
+        # The warm batch is fully re-served from the (worker-side) caches:
+        # zero charges are part of what the carriers must agree on.
+        assert all(charge[1] == 0.0 for charge in fingerprints["process"][1])
 
 
 def test_transport_wire_traffic_is_deterministic():
@@ -503,8 +526,9 @@ def test_transport_wire_traffic_is_deterministic():
 
 
 def test_sharded_provider_matches_unsharded_across_rebuild_and_thread_fanout():
-    """Sharding survives re-clustering (shards rebuild on the epoch bump) and
-    composes with the thread fan-out without changing a single bit."""
+    """Sharding survives re-clustering (shards rebuild on the epoch bump)
+    without changing a single bit.  (The thread fan-out this test once also
+    composed with is gone; the test keeps its name.)"""
     rng = np.random.default_rng(31)
     table = _random_table(rng, 4000)
     base = SystemConfig(
@@ -518,9 +542,7 @@ def test_sharded_provider_matches_unsharded_across_rebuild_and_thread_fanout():
     reference.execute_batch(queries, compute_exact=False)
     reference.providers[0].rebuild_layout(clustering_policy="sorted")
     expected = reference.execute_batch(queries, compute_exact=False).values
-    sharded_config = base.with_transport(
-        TransportConfig(shard_workers=3)
-    ).with_parallelism(ParallelismConfig(enabled=True))
+    sharded_config = base.with_transport(TransportConfig(shard_workers=3))
     with _system(table, sharded_config) as system:
         assert all(provider.shard_count >= 2 for provider in system.providers)
         system.execute_batch(queries, compute_exact=False)

@@ -4,13 +4,13 @@ The equivalence gates of the subsystem (see ``docs/ingestion.md``):
 
 (a) **compact-then-query ≡ fresh rebuild** — after a compaction, layout,
     metadata, and DP answers are bit-identical to a provider/system built
-    from scratch on the union of rows, across the serial, thread, and
-    process backends;
+    from scratch on the union of rows, on the in-process and the process
+    transport carrier;
 (b) **snapshot isolation** — a batch whose sessions opened before an ingest
     returns bit-identical answers whether or not the ingest ran between its
     protocol phases;
 
-plus the satellite behaviours: eager process-pool invalidation on layout
+plus the satellite behaviours: eager worker invalidation on layout
 rebuilds, the ``ingest`` network traffic class, selective cache retention
 across compactions, empty-born providers, and the scheduler's ingest queue.
 """
@@ -23,9 +23,9 @@ import pytest
 from repro.config import (
     CacheConfig,
     IngestConfig,
-    ParallelismConfig,
     ServiceConfig,
     SystemConfig,
+    TransportConfig,
 )
 from repro.core.accounting import split_query_budget
 from repro.core.system import FederatedAQPSystem
@@ -294,20 +294,17 @@ class TestCompactionEquivalence:
             for mine, theirs in zip(grown.clustered.clusters[:12], before[:12])
         )
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_system_level_equivalence_across_backends(self, backend):
         """Gate (a), system level: ingest+auto-compact vs union build."""
-        parallelism = (
-            ParallelismConfig()
-            if backend == "serial"
-            else ParallelismConfig(enabled=True, backend=backend)
-        )
         config = SystemConfig(
             cluster_size=8,
             num_providers=3,
             seed=7,
             ingest=IngestConfig(max_delta_rows=10),
-            parallelism=parallelism,
+            transport=TransportConfig(
+                kind="process" if backend == "process" else "inprocess"
+            ),
         )
         base, delta = make_table(150, 1), make_table(60, 2)
         tokens = [(1, index) for index in range(len(QUERIES))]
@@ -456,15 +453,16 @@ class TestEagerPoolInvalidation:
             cluster_size=8,
             num_providers=2,
             seed=3,
-            parallelism=ParallelismConfig(enabled=True, backend="process"),
+            transport=TransportConfig(kind="process"),
         )
         with FederatedAQPSystem.from_table(make_table(100, 1), config=config) as system:
             system.execute_batch([QUERIES[0]], seed_tokens=[(0, 0)])
-            assert system.aggregator._process_pool is not None
+            assert system.aggregator.transport.live_workers() == 2
             system.providers[0].rebuild_layout()
-            # Eager: the pool is gone *now*, not on the next batch.
-            assert system.aggregator._process_pool is None
-            # And the next batch rebuilds it and still answers correctly.
+            # Eager: the workers are gone *now*, not on the next batch.
+            assert system.aggregator.transport.live_workers() == 0
+            assert system.aggregator.transport.shared_block_names() == ()
+            # And the next batch rebuilds them and still answers correctly.
             result = system.execute_batch([QUERIES[2]], seed_tokens=[(0, 1)])
             assert result.results[0].exact_value == 100
 
@@ -474,14 +472,14 @@ class TestEagerPoolInvalidation:
             num_providers=2,
             seed=3,
             ingest=IngestConfig(max_delta_rows=4),
-            parallelism=ParallelismConfig(enabled=True, backend="process"),
+            transport=TransportConfig(kind="process"),
         )
         with FederatedAQPSystem.from_table(make_table(64, 1), config=config) as system:
             system.execute_batch([QUERIES[0]], seed_tokens=[(0, 0)])
-            assert system.aggregator._process_pool is not None
+            assert system.aggregator.transport.live_workers() == 2
             receipts = system.ingest(make_table(20, 2))
             assert all(receipt.compacted for receipt in receipts)
-            assert system.aggregator._process_pool is None
+            assert system.aggregator.transport.live_workers() == 0
             result = system.execute_batch([QUERIES[2]], seed_tokens=[(0, 1)])
             assert result.results[0].exact_value == 84
 
@@ -491,7 +489,7 @@ class TestEagerPoolInvalidation:
             num_providers=2,
             seed=3,
             ingest=IngestConfig(max_delta_rows=10**6),
-            parallelism=ParallelismConfig(enabled=True, backend="process"),
+            transport=TransportConfig(kind="process"),
         )
         serial = SystemConfig(
             cluster_size=8, num_providers=2, seed=3,
@@ -499,8 +497,8 @@ class TestEagerPoolInvalidation:
         )
         base, delta = make_table(64, 1), make_table(20, 2)
         with FederatedAQPSystem.from_table(base, config=config) as pooled:
-            # Ingest BEFORE the pool exists: the pool construction must ship
-            # the pending delta to the workers.
+            # Ingest BEFORE the workers exist: starting them must ship the
+            # pending delta through the shared buffers.
             pooled.ingest(delta)
             assert pooled.total_delta_rows == 20
             result_pooled = pooled.execute_batch(QUERIES, seed_tokens=[(2, i) for i in range(3)])
@@ -517,7 +515,7 @@ class TestEagerPoolInvalidation:
             num_providers=2,
             seed=3,
             ingest=IngestConfig(max_delta_rows=10**6),
-            parallelism=ParallelismConfig(enabled=True, backend="process"),
+            transport=TransportConfig(kind="process"),
         )
         serial = SystemConfig(
             cluster_size=8, num_providers=2, seed=3,
@@ -526,7 +524,7 @@ class TestEagerPoolInvalidation:
         base, delta = make_table(64, 1), make_table(20, 2)
         tokens = [(2, index) for index in range(3)]
         with FederatedAQPSystem.from_table(base, config=config) as pooled:
-            pooled.execute_batch([QUERIES[0]], seed_tokens=[(0, 0)])  # builds pool
+            pooled.execute_batch([QUERIES[0]], seed_tokens=[(0, 0)])  # starts workers
             pooled.ingest(delta)  # mirrored onto live workers
             result_pooled = pooled.execute_batch(QUERIES, seed_tokens=tokens)
         with FederatedAQPSystem.from_table(base, config=serial) as plain:

@@ -12,7 +12,7 @@ pins that contract:
 * a Hypothesis sweep asserts backend equality over randomized tables
   (mixed input dtypes, empty clusters) and over watermark-pinned delta
   snapshots against a per-query reference;
-* the process-pool delta path ships rows through shared memory with **zero**
+* the process carrier's delta path ships rows through shared memory with **zero**
   pickled row bytes, asserted via the pool's own accounting.
 """
 
@@ -30,8 +30,8 @@ from repro.config import (
     DENSE_EXECUTION,
     ExecutionConfig,
     IngestConfig,
-    ParallelismConfig,
     SystemConfig,
+    TransportConfig,
 )
 from repro.core.system import FederatedAQPSystem
 from repro.ingest import DeltaStore
@@ -217,18 +217,19 @@ def test_system_backends_identical_with_live_deltas():
             assert summary == reference, backend
 
 
-# -- process pool: zero pickled delta-row bytes ------------------------------
+# -- process carrier: zero pickled delta-row bytes ---------------------------
 
 
 def test_procpool_delta_path_pickles_zero_row_bytes():
     """Delta rows reach workers through shared memory only.
 
-    Both shipping flavors are exercised — rows pending *before* the pool is
-    built (pre-populated into the append buffer at pool construction) and
-    rows ingested *while* the pool is live (mirrored to workers by buffer
-    offset).  The pool's accounting must show every shipped row in the
-    shared-memory ledger and zero bytes of pickled row payloads; answers
-    stay bit-identical to the serial backend.
+    Both shipping flavors are exercised — rows pending *before* the workers
+    start (pre-populated into the append buffer at start) and rows ingested
+    *while* they are live (mirrored to workers by buffer offset).  The
+    carrier's accounting must show every shipped row in the shared-memory
+    ledger and zero bytes of pickled row payloads — and the pipe traffic of
+    the mirrored append must not scale with the rows; answers stay
+    bit-identical to the in-process transport.
     """
     rng = np.random.default_rng(67)
     base = Table(
@@ -241,7 +242,7 @@ def test_procpool_delta_path_pickles_zero_row_bytes():
     )
     late = Table(
         SCHEMA,
-        {"x": rng.integers(0, 100, 50), "y": rng.integers(0, 20, 50)},
+        {"x": rng.integers(0, 100, 1000), "y": rng.integers(0, 20, 1000)},
     )
     queries = [
         RangeQuery.count({"x": (5, 80)}),
@@ -253,7 +254,7 @@ def test_procpool_delta_path_pickles_zero_row_bytes():
         num_providers=2,
         seed=7,
         ingest=IngestConfig(max_delta_rows=10**6),
-        parallelism=ParallelismConfig(enabled=True, backend="process"),
+        transport=TransportConfig(kind="process"),
     )
     serial_config = SystemConfig(
         cluster_size=32,
@@ -262,17 +263,18 @@ def test_procpool_delta_path_pickles_zero_row_bytes():
         ingest=IngestConfig(max_delta_rows=10**6),
     )
     with FederatedAQPSystem.from_table(base, config=pooled_config) as pooled:
-        pooled.ingest(early)  # pending before the pool exists
+        pooled.ingest(early)  # pending before the workers exist
         first = pooled.execute_batch(queries, seed_tokens=tokens)
-        pool = pooled.aggregator._process_pool
-        assert pool is not None
-        assert pool.stats.delta_rows_shipped == early.num_rows
+        stats = pooled.aggregator.transport.carrier_stats
+        assert stats["delta_rows_shipped"] == early.num_rows
+        pipe_bytes = pooled.transport_stats().bytes_sent
         pooled.ingest(late)  # mirrored onto live workers
+        # One small descriptor + ack per provider — not 1000 rows x 2 columns.
+        assert pooled.transport_stats().bytes_sent - pipe_bytes < late.memory_bytes()
         second = pooled.execute_batch(queries, seed_tokens=tokens)
-        stats = pool.stats
-        assert stats.delta_rows_shipped == early.num_rows + late.num_rows
-        assert stats.delta_shared_bytes > 0
-        assert stats.delta_rows_pickled_bytes == 0
+        assert stats["delta_rows_shipped"] == early.num_rows + late.num_rows
+        assert stats["delta_shared_bytes"] > 0
+        assert stats["delta_rows_pickled_bytes"] == 0
     with FederatedAQPSystem.from_table(base, config=serial_config) as plain:
         plain.ingest(early)
         plain_first = plain.execute_batch(queries, seed_tokens=tokens)

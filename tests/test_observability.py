@@ -29,7 +29,6 @@ import pytest
 from repro.config import (
     CacheConfig,
     ObservabilityConfig,
-    ParallelismConfig,
     PrivacyConfig,
     ResilienceConfig,
     SamplingConfig,
@@ -92,7 +91,7 @@ def _config(
         cluster_size=cluster_size,
         privacy=PrivacyConfig(epsilon=1.0, delta=1e-3),
         sampling=SamplingConfig(sampling_rate=0.2),
-        parallelism=ParallelismConfig(enabled=False, injected_faults=faults),
+        injected_faults=faults,
         resilience=resilience or ResilienceConfig(),
         cache=CacheConfig(enabled=cache),
         observability=ObservabilityConfig(enabled=observability),
@@ -189,7 +188,6 @@ def test_disabled_observability_keeps_wire_bytes_identical():
             seed=7,
             privacy=PrivacyConfig(epsilon=1.0, delta=1e-3),
             sampling=SamplingConfig(sampling_rate=0.2),
-            parallelism=ParallelismConfig(enabled=False),
             transport=TransportConfig(kind="loopback"),
         )
     )
@@ -447,7 +445,6 @@ def test_metrics_snapshot_unifies_all_stats_groups():
         "transport",
         "cache",
         "resilience",
-        "procpool",
         "kernel",
     } <= set(groups)
     assert groups["network"]["messages"] > 0

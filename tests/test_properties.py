@@ -444,10 +444,10 @@ def test_layout_epoch_never_decreases(operations):
 from hypothesis import settings
 
 from repro.config import (
-    ParallelismConfig,
     ResilienceConfig,
     SamplingConfig,
     SystemConfig,
+    TransportConfig,
 )
 from repro.core.system import FederatedAQPSystem
 from repro.errors import ProtocolError
@@ -480,12 +480,10 @@ def _chaos_system(backend: str, schedule: FaultSchedule | None) -> FederatedAQPS
         seed=11,
         privacy=PrivacyConfig(epsilon=1.0, delta=1e-3),
         sampling=SamplingConfig(sampling_rate=0.2),
-        parallelism=ParallelismConfig(
-            enabled=backend != "serial",
-            backend=backend if backend != "serial" else "thread",
-            max_workers=3,
-            injected_faults=schedule,
+        transport=TransportConfig(
+            kind="process" if backend == "process" else "inprocess"
         ),
+        injected_faults=schedule,
         resilience=ResilienceConfig(enabled=True, max_retries=1, min_providers=1),
     )
     return FederatedAQPSystem.from_table(_chaos_table(), config=config)
@@ -580,10 +578,10 @@ def test_answer_phase_faults_leave_survivors_bit_identical(seed):
     assert compared > 0
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["process"])
 def test_budget_conserved_under_chaos_on_parallel_backends(backend):
-    """The conservation invariant holds on the real parallel backends too
-    (a fixed seed keeps the expensive process-pool variant cheap)."""
+    """The conservation invariant holds with real worker processes too
+    (a fixed seed keeps the expensive process-carrier variant cheap)."""
     schedule = FaultSchedule.from_seed(
         1234, num_providers=3, num_batches=2, num_faults=3, repeat=2
     )

@@ -4,8 +4,8 @@ The load-bearing guarantees under test:
 
 * **Interleaving invariance** — under a fixed seed, a tenant's answers are
   bit-identical whether its submissions run alone or coalesced with other
-  tenants' traffic, in any submission order, across the serial, thread, and
-  process provider backends (per-tenant noise streams + canonical
+  tenants' traffic, in any submission order, on the in-process and the
+  process transport carrier (per-tenant noise streams + canonical
   coalescing order).
 * **Budget isolation** — tenants hold separate wallets; admission prices
   with the reuse planner's sound bound, reserves it, and settles exact
@@ -24,10 +24,10 @@ import pytest
 
 from repro.config import (
     CacheConfig,
-    ParallelismConfig,
     PrivacyConfig,
     ServiceConfig,
     SystemConfig,
+    TransportConfig,
 )
 from repro.core.system import FederatedAQPSystem
 from repro.errors import (
@@ -63,9 +63,7 @@ def make_system(
 ) -> FederatedAQPSystem:
     config = SystemConfig(cluster_size=100, num_providers=4, seed=seed)
     if backend is not None:
-        config = config.with_parallelism(
-            ParallelismConfig(enabled=True, backend=backend)
-        )
+        config = config.with_transport(TransportConfig(kind=backend))
     if cache:
         config = config.with_cache(CacheConfig(enabled=True))
     return FederatedAQPSystem.from_table(make_table(), config=config)
@@ -145,7 +143,7 @@ SCRAMBLED = [
 ]
 
 
-@pytest.mark.parametrize("backend", [None, "thread", "process"])
+@pytest.mark.parametrize("backend", [None, "process"])
 def test_interleaved_equals_serial_per_tenant(backend):
     serial_values, serial_charges = _serve_serially(backend)
     for order in (ROUND_ROBIN, SCRAMBLED):
@@ -156,9 +154,8 @@ def test_interleaved_equals_serial_per_tenant(backend):
 
 def test_backends_are_bit_identical_through_the_scheduler():
     baseline, _ = _serve_interleaved(None, ROUND_ROBIN)
-    for backend in ("thread", "process"):
-        values, _ = _serve_interleaved(backend, ROUND_ROBIN)
-        assert values == baseline
+    values, _ = _serve_interleaved("process", ROUND_ROBIN)
+    assert values == baseline
 
 
 def test_coalescing_batches_cross_tenants():

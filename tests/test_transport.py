@@ -9,7 +9,9 @@ Three concerns, in order of how the wire can betray you:
    local answers) and whole phase payloads including empty batches.
 2. **Framer robustness** — partial-frame reads, truncated streams, garbage
    bytes, and hostile length prefixes must produce buffered waits or typed
-   errors, never hangs or unbounded allocation.
+   errors, never hangs or unbounded allocation; well-framed but hostile
+   *envelopes* are answered with a typed error reply or drop the
+   connection, never index anything.
 3. **Socket smoke** — a real localhost federation over the socket
    transport, small rows, exercising connect/frame/dispatch/reply and the
    stats counters end to end.
@@ -42,6 +44,7 @@ from repro.federation.transport import (
     FrameDecoder,
     InProcessTransport,
     LoopbackTransport,
+    ProcessTransport,
     SocketTransport,
     WIRE_MAGIC,
     create_transport,
@@ -304,6 +307,81 @@ def test_header_shorter_than_magic_waits():
     assert decoder.pending_bytes == 2
 
 
+# Well-framed, well-formed JSON — but not a request this server can index
+# anything with.  ``reply`` marks the ones that still carry a seq to address
+# a typed error to; the rest can only drop the connection.
+_HOSTILE_ENVELOPES = [
+    ({"op": "ping", "provider": 0, "payload": {}}, False),  # no seq: was KeyError
+    ({"seq": "7", "op": "ping", "provider": 0, "payload": {}}, False),
+    ({"seq": True, "op": "ping", "provider": 0, "payload": {}}, False),
+    ([1, 2, 3], False),  # not a mapping: was TypeError
+    ("ping", False),
+    (None, False),
+    ({"seq": 7, "op": "ping", "provider": -1, "payload": {}}, True),  # served by the last provider
+    ({"seq": 7, "op": "ping", "provider": 2, "payload": {}}, True),
+    ({"seq": 7, "op": "ping", "provider": "0", "payload": {}}, True),
+    ({"seq": 7, "op": "ping", "payload": {}}, True),
+    ({"seq": 7, "op": "reboot", "provider": 0, "payload": {}}, True),
+    ({"seq": 7, "op": ["ping"], "provider": 0, "payload": {}}, True),
+    ({"seq": 7, "op": "ingest", "provider": 0, "payload": {}}, True),  # worker-only op
+    ({"seq": 7, "op": "chaos", "provider": 0, "payload": {"kind": "crash_worker"}}, True),
+    ({"seq": 7, "op": "forget", "provider": 0, "payload": None}, True),
+    ({"seq": 7, "op": "forget", "provider": 0, "payload": {}}, True),  # missing field
+]
+
+
+@pytest.mark.parametrize("envelope,replies", _HOSTILE_ENVELOPES)
+def test_hostile_envelopes_get_a_typed_reply_or_drop_the_connection(envelope, replies):
+    """The server boundary validates before it indexes: loopback and socket."""
+    import socket as socket_module
+
+    with FederatedAQPSystem.from_table(
+        _table(200), config=_config(kind="socket")
+    ) as system:
+        transport = system.aggregator.transport
+        if replies:
+            reply = transport._serve_request(envelope)
+            assert reply["seq"] == 7
+            assert reply["err"][0] in ("TransportError", "KeyError")
+        else:
+            with pytest.raises(TransportError):
+                transport._serve_request(envelope)
+        # Over real TCP the handler task must end the same way, not die on
+        # an unhandled exception: a reply frame, or a closed connection.
+        frame = encode_frame(serialize(envelope))
+        with socket_module.create_connection(("127.0.0.1", transport.port), 5.0) as sock:
+            sock.settimeout(5.0)
+            sock.sendall(frame)
+            decoder = FrameDecoder()
+            frames: list[bytes] = []
+            while not frames:
+                data = sock.recv(65536)
+                if not data:
+                    break
+                frames = decoder.feed(data)
+        if replies:
+            assert deserialize(frames[0])["err"][0] in ("TransportError", "KeyError")
+        else:
+            assert frames == []
+        # The server is still there for well-behaved peers.
+        assert transport._call(0, "ping", {}) == "pong"
+
+
+def test_undecodable_frame_drops_the_socket_connection():
+    """A frame that is not JSON escaped the handler as an unhandled task error."""
+    import socket as socket_module
+
+    with FederatedAQPSystem.from_table(
+        _table(200), config=_config(kind="socket")
+    ) as system:
+        transport = system.aggregator.transport
+        with socket_module.create_connection(("127.0.0.1", transport.port), 5.0) as sock:
+            sock.settimeout(5.0)
+            sock.sendall(encode_frame(b"not json at all {{{"))
+            assert sock.recv(65536) == b""
+        assert transport._call(0, "ping", {}) == "pong"
+
+
 # -- 3. transports against a live federation ------------------------------------
 
 _SCHEMA = Schema(
@@ -398,22 +476,16 @@ def test_create_transport_dispatch_and_validation():
     assert isinstance(
         create_transport(TransportConfig(kind="loopback"), providers), LoopbackTransport
     )
+    process = create_transport(TransportConfig(kind="process"), providers)
+    assert isinstance(process, ProcessTransport)
+    assert process.shared_block_names() == ()  # nothing exported before the first call
+    process.close()
     with pytest.raises(ConfigurationError):
         TransportConfig(kind="carrier-pigeon")
     with pytest.raises(ConfigurationError):
         TransportConfig(shard_workers=0)
     with pytest.raises(ConfigurationError):
         TransportConfig(max_frame_bytes=16)
-
-
-def test_transport_config_rejects_process_backend_combination():
-    from repro.config import ParallelismConfig
-
-    with pytest.raises(ConfigurationError, match="process"):
-        SystemConfig(
-            transport=TransportConfig(kind="loopback"),
-            parallelism=ParallelismConfig(enabled=True, backend="process"),
-        )
 
 
 def test_default_max_frame_fits_protocol_payloads():
