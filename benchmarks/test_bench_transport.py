@@ -7,7 +7,7 @@ system supports, on the same table and query workload:
 * ``loopback`` — full serialize → frame → deframe → deserialize round
   trip in-process, isolating pure codec + framing overhead;
 * ``socket`` — real localhost TCP with length-prefixed frames, adding
-  syscalls and the asyncio dispatch hop;
+  syscalls and one thread hand-off to the connection's handler and back;
 * ``sharded-k2`` — in-process transport with each provider's table split
   across two shard workers, isolating the shard merge overhead.
 

@@ -622,7 +622,7 @@ class TransportConfig:
     kind:
         ``"inprocess"`` (direct calls, the default), ``"loopback"`` (full
         serialize/frame/deserialize round trip without sockets),
-        ``"socket"`` (asyncio TCP on localhost with length-prefixed
+        ``"socket"`` (blocking TCP on localhost with length-prefixed
         framing), or ``"process"`` (one persistent worker process per
         provider over shared-memory column buffers; release its workers
         with the system's ``close()`` / context manager).  All four are

@@ -18,9 +18,11 @@ envelope (``{seq, op, provider, payload}`` → :func:`serve_request`):
     one, or the codec dropped information.
 
 ``SocketTransport``
-    Asyncio TCP on localhost with length-prefixed framing.  One background
-    server thread hosts every provider; the aggregator keeps one blocking
-    client connection per provider.  Call timeouts come from
+    Blocking TCP on localhost with length-prefixed framing.  One listening
+    socket hosts every provider: an accept thread plus one handler thread
+    per connection, so a request reaches its provider in one thread
+    hand-off and the reply goes back in one more; the aggregator keeps one
+    blocking client connection per provider.  Call timeouts come from
     :attr:`~repro.config.ResilienceConfig.provider_timeout_seconds`, and a
     timeout or lost connection surfaces as
     :class:`~repro.errors.TransportError` /
@@ -37,8 +39,8 @@ Whether providers work concurrently is a property of the carrier, never a
 setting: the aggregator posts a phase to every provider before it awaits
 the first reply, which only endpoints in other processes can exploit — the
 other three run each call to completion, strictly in order.  The ``RAQP``
-tagged-JSON codec below is the only codec for wires that leave the process
-tree; the pipe between a parent and its own child keeps
+column-block JSON codec below is the only codec for wires that leave the
+process tree; the pipe between a parent and its own child keeps
 :mod:`multiprocessing`'s object transport (both ends run this very code,
 and the JSON codec costs more per batch than process hosting saves — see
 ``docs/performance.md``).
@@ -54,7 +56,11 @@ delivered more than once and discarded by the receiver's sequence check.
 **Determinism.**  The wire codec round-trips every value exactly: integers
 stay integers, floats serialise via ``repr`` (which round-trips IEEE-754
 doubles bit-for-bit), tuples and numpy arrays are tagged so their types
-survive.  Provider-side randomness is keyed by ``seed_material`` and
+survive.  A batch — a list of two or more messages of one class — is
+written column by column (the class named once, one JSON array per
+field), which changes how many bytes a frame takes and nothing about
+what comes out: every object is rebuilt through its own constructor, in
+list order.  Provider-side randomness is keyed by ``seed_material`` and
 request order, both of which every carrier preserves — so process, socket,
 loopback, and in-process federations are bit-identical under a fixed seed.
 
@@ -75,7 +81,6 @@ make them happen for real.
 
 from __future__ import annotations
 
-import asyncio
 import base64
 import dataclasses
 import json
@@ -84,6 +89,7 @@ import socket as socket_module
 import struct
 import threading
 import time
+from collections import deque
 from contextlib import nullcontext
 from typing import Any, Callable, Mapping, Sequence
 
@@ -129,13 +135,30 @@ __all__ = [
 
 _TAG_DATACLASS = "__dc__"
 _TAG_FIELDS = "__f__"
+_TAG_COLUMNS = "__cols__"
+_TAG_MAPPINGS = "__maps__"
 _TAG_TUPLE = "__tu__"
 _TAG_NDARRAY = "__nd__"
 _TAG_ENUM = "__en__"
-_RESERVED_KEYS = frozenset({_TAG_DATACLASS, _TAG_FIELDS, _TAG_TUPLE, _TAG_NDARRAY, _TAG_ENUM})
+_RESERVED_KEYS = frozenset(
+    {
+        _TAG_DATACLASS,
+        _TAG_FIELDS,
+        _TAG_COLUMNS,
+        _TAG_MAPPINGS,
+        _TAG_TUPLE,
+        _TAG_NDARRAY,
+        _TAG_ENUM,
+    }
+)
 
-_WIRE_DATACLASSES: dict[str, type] = {
-    cls.__name__: cls
+_PLAIN_TYPES = frozenset({bool, int, float, str, type(None)})
+"""Exact types the JSON encoder and decoder map onto themselves.  A list
+holding nothing else crosses the codec untouched, in either direction."""
+
+
+_WIRE_FIELDS: dict[type, tuple[str, ...]] = {
+    cls: tuple(field.name for field in dataclasses.fields(cls))
     for cls in (
         QueryRequest,
         SummaryMessage,
@@ -150,71 +173,185 @@ _WIRE_DATACLASSES: dict[str, type] = {
         LocalAnswer,
     )
 }
-"""Types the codec reconstructs by name: every protocol message plus the
-value types they carry (queries, budgets, reports, local answers)."""
+"""Types the codec reconstructs by name — every protocol message plus the
+value types they carry (queries, budgets, reports, local answers) — each
+with its field names in constructor order, computed once here."""
+
+_WIRE_DATACLASSES: dict[str, type] = {cls.__name__: cls for cls in _WIRE_FIELDS}
 
 
 def _to_wire(value: Any) -> Any:
-    """Lower a protocol value to JSON-representable form, losslessly."""
-    if value is None or isinstance(value, (bool, int, float, str)):
+    """Lower a protocol value to JSON-representable form, losslessly.
+
+    A registered dataclass becomes a positional row
+    ``{"__dc__": name, "__f__": [field, ...]}``; a list of two or more of
+    one registered class becomes a column block (:func:`_list_to_wire`).
+    """
+    cls = type(value)
+    if cls in _PLAIN_TYPES:
         return value
+    if cls is list:
+        return _list_to_wire(value)
+    names = _WIRE_FIELDS.get(cls)
+    if names is not None:
+        row = [getattr(value, name) for name in names]
+        return {_TAG_DATACLASS: cls.__name__, _TAG_FIELDS: _items_to_wire(row)}
+    if isinstance(value, tuple):
+        return {_TAG_TUPLE: _list_to_wire(value)}
+    if cls is dict or isinstance(value, Mapping):
+        return dict(zip(_wire_keys(value), _items_to_wire(list(value.values()))))
+    if isinstance(value, Aggregation):
+        return {_TAG_ENUM: value.value}
+    if isinstance(value, np.ndarray):
+        data = base64.b64encode(np.ascontiguousarray(value).tobytes()).decode("ascii")
+        return {_TAG_NDARRAY: [str(value.dtype), list(value.shape), data]}
     if isinstance(value, np.bool_):
         return bool(value)
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, np.floating):
         return float(value)
-    if isinstance(value, Aggregation):
-        return {_TAG_ENUM: value.value}
-    if isinstance(value, np.ndarray):
-        data = base64.b64encode(np.ascontiguousarray(value).tobytes()).decode("ascii")
-        return {_TAG_NDARRAY: [str(value.dtype), list(value.shape), data]}
-    cls = type(value)
-    if cls.__name__ in _WIRE_DATACLASSES and cls is _WIRE_DATACLASSES[cls.__name__]:
-        fields = {
-            field.name: _to_wire(getattr(value, field.name))
-            for field in dataclasses.fields(value)
-        }
-        return {_TAG_DATACLASS: cls.__name__, _TAG_FIELDS: fields}
-    if isinstance(value, tuple):
-        return {_TAG_TUPLE: [_to_wire(item) for item in value]}
+    if isinstance(value, (int, float, str)):
+        return value
     if isinstance(value, list):
-        return [_to_wire(item) for item in value]
-    if isinstance(value, Mapping):
-        encoded: dict[str, Any] = {}
-        for key, item in value.items():
-            if not isinstance(key, str) or key in _RESERVED_KEYS:
-                raise TransportError(
-                    f"cannot serialise mapping key {key!r}: keys must be "
-                    f"non-reserved strings"
-                )
-            encoded[key] = _to_wire(item)
-        return encoded
+        return _list_to_wire(value)
     raise TransportError(f"cannot serialise {cls.__name__!r} for the wire")
+
+
+def _wire_keys(mapping: Mapping) -> list[str]:
+    """A mapping's keys, once they are known to be non-reserved strings."""
+    keys = list(mapping)
+    for key in keys:
+        if not isinstance(key, str) or key in _RESERVED_KEYS:
+            raise TransportError(
+                f"cannot serialise mapping key {key!r}: keys must be "
+                f"non-reserved strings"
+            )
+    return keys
+
+
+def _items_to_wire(values: list) -> list:
+    """Element-wise :func:`_to_wire`; plain values are left to the JSON encoder."""
+    if _PLAIN_TYPES.issuperset(map(type, values)):
+        return values
+    return [_to_wire(item) for item in values]
+
+
+def _list_to_wire(values: Sequence[Any]) -> Any:
+    """A JSON array — or, for two or more of one registered class, a column block.
+
+    The block ``{"__dc__": name, "__cols__": [column, ...]}`` names the
+    class once and holds one array per field, each lowered by this same
+    function: a column of nested dataclasses is itself a block, a scalar
+    column goes to the JSON encoder as it is.  Two or more ``dict``s travel
+    the same way, ``{"__maps__": [[keys of each], values of all]}``, so
+    what their values have in common (every ``RangeQuery.ranges`` holds
+    ``Interval``s) is again one block.
+    """
+    kinds = set(map(type, values))
+    if kinds <= _PLAIN_TYPES:
+        return list(values)
+    if len(kinds) == 1 and len(values) > 1:
+        (cls,) = kinds
+        if cls is dict:
+            flat = [item for mapping in values for item in mapping.values()]
+            return {
+                _TAG_MAPPINGS: [
+                    [_wire_keys(mapping) for mapping in values],
+                    _list_to_wire(flat),
+                ]
+            }
+        if cls is Aggregation:
+            return {_TAG_ENUM: [member.value for member in values]}
+        names = _WIRE_FIELDS.get(cls)
+        if names is not None:
+            return {
+                _TAG_DATACLASS: cls.__name__,
+                _TAG_COLUMNS: [
+                    _list_to_wire([getattr(item, name) for item in values])
+                    for name in names
+                ],
+            }
+    return [_to_wire(item) for item in values]
 
 
 def _from_wire(value: Any) -> Any:
     """Inverse of :func:`_to_wire`."""
-    if isinstance(value, list):
+    kind = type(value)
+    if kind is list:
+        if _PLAIN_TYPES.issuperset(map(type, value)):
+            return value
         return [_from_wire(item) for item in value]
-    if not isinstance(value, dict):
+    if kind is not dict:
         return value
-    if _TAG_ENUM in value:
-        return Aggregation(value[_TAG_ENUM])
+    if _TAG_DATACLASS in value:
+        return _dataclasses_from_wire(value)
+    if _TAG_MAPPINGS in value:
+        return _mappings_from_wire(value[_TAG_MAPPINGS])
     if _TAG_TUPLE in value:
-        return tuple(_from_wire(item) for item in value[_TAG_TUPLE])
+        return tuple(_list_from_wire(value[_TAG_TUPLE]))
+    if _TAG_ENUM in value:
+        member = value[_TAG_ENUM]
+        if type(member) is list:
+            return [Aggregation(item) for item in member]
+        return Aggregation(member)
     if _TAG_NDARRAY in value:
         dtype, shape, data = value[_TAG_NDARRAY]
         array = np.frombuffer(base64.b64decode(data), dtype=np.dtype(dtype))
         return array.reshape(tuple(shape)).copy()
-    if _TAG_DATACLASS in value:
-        name = value[_TAG_DATACLASS]
-        cls = _WIRE_DATACLASSES.get(name)
-        if cls is None:
-            raise TransportError(f"unknown wire type {name!r}")
-        fields = {key: _from_wire(item) for key, item in value[_TAG_FIELDS].items()}
-        return cls(**fields)
-    return {key: _from_wire(item) for key, item in value.items()}
+    if not _RESERVED_KEYS.isdisjoint(value):
+        raise TransportError("fields or columns without a wire type")
+    return dict(zip(value, _from_wire(list(value.values()))))
+
+
+def _list_from_wire(value: Any) -> list:
+    """Decode a position that must hold a list: a JSON array or a column block."""
+    decoded = _from_wire(value)
+    if type(decoded) is not list:
+        raise TransportError(
+            f"expected an array or a column block, got {type(value).__name__}"
+        )
+    return decoded
+
+
+def _mappings_from_wire(value: Any) -> list[dict[str, Any]]:
+    """The ``dict``s of a ``__maps__`` column: each takes its keys' share of the values."""
+    key_lists, flat = value
+    values = _list_from_wire(flat)
+    if type(key_lists) is not list or not {list}.issuperset(map(type, key_lists)):
+        raise TransportError("mappings column without one key array per mapping")
+    keys = [key for key_list in key_lists for key in key_list]
+    if len(keys) != len(values) or not {str}.issuperset(map(type, keys)):
+        raise TransportError(
+            f"mappings column has {len(keys)} string keys for {len(values)} values"
+        )
+    taken = iter(values)
+    return [dict(zip(key_list, taken)) for key_list in key_lists]
+
+
+def _dataclasses_from_wire(value: dict[str, Any]) -> Any:
+    """One object out of a positional row, or a list of them out of a column block.
+
+    Either way every object is rebuilt through its constructor, so the
+    class's own ``__post_init__`` checks run on everything that arrives.
+    """
+    name = value[_TAG_DATACLASS]
+    cls = _WIRE_DATACLASSES.get(name) if isinstance(name, str) else None
+    if cls is None:
+        raise TransportError(f"unknown wire type {name!r}")
+    names = _WIRE_FIELDS[cls]
+    is_block = _TAG_COLUMNS in value
+    items = value[_TAG_COLUMNS] if is_block else value.get(_TAG_FIELDS)
+    if type(items) is not list or len(items) != len(names):
+        raise TransportError(f"{name} needs an array of {len(names)} fields or columns")
+    if not is_block:
+        return cls(*_from_wire(items))
+    columns = [_list_from_wire(column) for column in items]
+    if len(set(map(len, columns))) > 1:
+        raise TransportError(
+            f"{name} block has columns of lengths {[len(c) for c in columns]}"
+        )
+    return [cls(*row) for row in zip(*columns)]
 
 
 def serialize(value: Any) -> bytes:
@@ -225,12 +362,33 @@ def serialize(value: Any) -> bytes:
 def deserialize(data: bytes) -> Any:
     """Decode wire bytes back to the original protocol value.
 
-    Raises :class:`~repro.errors.TransportError` on malformed payloads.
+    Raises :class:`~repro.errors.TransportError` on malformed payloads —
+    and on *any* failure, because the bytes come from outside and decoding
+    runs constructors on them: bad JSON, a block of the wrong shape, a
+    value a ``__post_init__`` rejects, or whatever else a hostile peer
+    finds all mean the same thing to the caller.
     """
     try:
         return _from_wire(json.loads(data.decode("utf-8")))
-    except (ValueError, TypeError, KeyError) as error:
-        raise TransportError(f"malformed wire payload: {error}") from error
+    except TransportError:
+        raise
+    except Exception as error:  # noqa: BLE001 - the wire is a trust boundary
+        raise TransportError(
+            f"malformed wire payload: {type(error).__name__}: {error}"
+        ) from error
+
+
+def _readable_seq(data: bytes) -> int | None:
+    """The integer ``seq`` of a request that did not :func:`deserialize`, if any.
+
+    Lets the server address a typed error reply instead of hanging up.
+    """
+    try:
+        envelope = json.loads(data)
+    except (ValueError, RecursionError):
+        return None
+    seq = envelope.get("seq") if isinstance(envelope, dict) else None
+    return seq if isinstance(seq, int) and not isinstance(seq, bool) else None
 
 
 # -- framing --------------------------------------------------------------------
@@ -280,10 +438,12 @@ class FrameDecoder:
         """Consume a chunk and return every frame it completed (maybe none)."""
         if self._corrupt is not None:
             raise self._corrupt
-        self._buffer.extend(data)
+        buffer = self._buffer
+        buffer.extend(data)
         frames: list[bytes] = []
-        while len(self._buffer) >= _FRAME_HEADER.size:
-            magic, length = _FRAME_HEADER.unpack_from(self._buffer)
+        offset = 0
+        while len(buffer) - offset >= _FRAME_HEADER.size:
+            magic, length = _FRAME_HEADER.unpack_from(buffer, offset)
             if magic != WIRE_MAGIC:
                 self._corrupt = TransportError(
                     f"bad frame magic {bytes(magic)!r}: stream is corrupt or "
@@ -296,11 +456,13 @@ class FrameDecoder:
                     f"{self.max_frame_bytes}-byte ceiling"
                 )
                 raise self._corrupt
-            if len(self._buffer) < _FRAME_HEADER.size + length:
+            start = offset + _FRAME_HEADER.size
+            if len(buffer) < start + length:
                 break
-            start = _FRAME_HEADER.size
-            frames.append(bytes(self._buffer[start : start + length]))
-            del self._buffer[: start + length]
+            frames.append(bytes(buffer[start : start + length]))
+            offset = start + length
+        # Frames were consumed by offset; the front goes in one move.
+        del buffer[:offset]
         return frames
 
 
@@ -623,6 +785,28 @@ class _SerializingTransport(Transport):
             self.providers, envelope, tracer=self.tracer, kind=self.kind
         )
 
+    def _serve_frame(self, request: bytes) -> list[bytes]:
+        """The server side of one exchange: a request frame's payload in, the
+        reply frame out — twice when the request carries the ``dup`` flag.
+
+        A request that does not decode but still shows an integer ``seq`` is
+        answered with a typed error; one that cannot be addressed raises
+        :class:`~repro.errors.TransportError` and the carrier hangs up.
+        """
+        copies = 1
+        try:
+            envelope = deserialize(request)
+        except TransportError as error:
+            seq = _readable_seq(request)
+            if seq is None:
+                raise
+            reply = {"seq": seq, "err": [type(error).__name__, str(error)]}
+        else:
+            reply = self._serve_request(envelope)
+            if envelope.get("dup"):
+                copies = 2
+        return [encode_frame(serialize(reply), self.max_frame_bytes)] * copies
+
     def _unwrap(self, envelope: dict[str, Any], index: int) -> Any:
         if "err" in envelope:
             name, message = envelope["err"]
@@ -689,10 +873,12 @@ class _SerializingTransport(Transport):
             f"connection to provider {provider_id!r} dropped during {op}"
         )
 
-    def _frame_request(self, index, op, payload, *, fault, **flags) -> tuple[int, bytes]:
+    def _frame_request(self, index, op, payload, *, fault, duplicate) -> tuple[int, bytes]:
         """Frame (and count) one request envelope; a destructive fault strikes here."""
         seq = self._next_seq()
-        request = {"seq": seq, "op": op, "provider": index, "payload": payload, **flags}
+        request = {"seq": seq, "op": op, "provider": index, "payload": payload}
+        if duplicate:
+            request["dup"] = True  # asks the server to send its reply twice
         frame = encode_frame(serialize(request), self.max_frame_bytes)
         self._count_frame(len(frame))
         if fault is not None:
@@ -742,12 +928,12 @@ class LoopbackTransport(_SerializingTransport):
 
     def _roundtrip(self, index, op, payload, *, fault, duplicate):
         provider_id = self.providers[index].provider_id
-        seq, frame = self._frame_request(index, op, payload, fault=fault)
+        seq, frame = self._frame_request(
+            index, op, payload, fault=fault, duplicate=duplicate
+        )
         reply_frames: list[bytes] = []
         for request_frame in self._server_decoders[index].feed(frame):
-            reply = self._serve_request(deserialize(request_frame))
-            reply_frame = encode_frame(serialize(reply), self.max_frame_bytes)
-            reply_frames.extend([reply_frame] * (2 if duplicate else 1))
+            reply_frames.extend(self._serve_frame(request_frame))
         matched: dict[str, Any] | None = None
         for reply_frame in reply_frames:
             self._count_frame(len(reply_frame))
@@ -769,7 +955,7 @@ class _SocketConnection:
     def __init__(self, sock: socket_module.socket, max_frame_bytes: int) -> None:
         self.sock = sock
         self.decoder = FrameDecoder(max_frame_bytes)
-        self.frames: list[bytes] = []
+        self.frames: deque[bytes] = deque()
         self.lock = threading.Lock()
 
     def close(self) -> None:
@@ -779,15 +965,31 @@ class _SocketConnection:
             pass
 
 
-class SocketTransport(_SerializingTransport):
-    """Asyncio TCP on localhost with length-prefixed framing.
+_CLOSE_TIMEOUT = 5.0
+"""Seconds :meth:`SocketTransport.close` waits, in all, for its server
+threads; a handler still inside a provider call after that is abandoned
+(the threads are daemons)."""
 
-    One background event-loop thread hosts every provider behind a single
-    listening socket; the aggregator side keeps one blocking connection
-    per provider (opened lazily, reopened after a disconnect).  Replies
-    are matched to requests by sequence number; a reply frame whose
-    sequence was already consumed is discarded and counted in
-    ``stats.frames_duplicated``.  Receive timeouts come from
+
+def _hang_up(sock: socket_module.socket) -> None:
+    """Wake whichever thread blocks on ``sock`` (accept or recv) with an error/EOF."""
+    try:
+        sock.shutdown(socket_module.SHUT_RDWR)
+    except OSError:
+        pass  # never connected, or the peer is already gone
+
+
+class SocketTransport(_SerializingTransport):
+    """Blocking TCP on localhost with length-prefixed framing.
+
+    A single listening socket hosts every provider: an accept thread hands
+    each connection to its own handler thread, which serves it request by
+    request (receive, decode, run the provider, encode, send) — one hop
+    from the caller to the provider and one back.  The aggregator side
+    keeps one blocking connection per provider (opened lazily, reopened
+    after a disconnect).  Replies are matched to requests by sequence
+    number; a reply frame whose sequence was already consumed is discarded
+    and counted in ``stats.frames_duplicated``.  Receive timeouts come from
     :attr:`~repro.config.ResilienceConfig.provider_timeout_seconds` and
     raise :class:`~repro.errors.TransportTimeoutError`.
     """
@@ -809,84 +1011,69 @@ class SocketTransport(_SerializingTransport):
         )
         self._connect_timeout = connect_timeout_seconds
         self._connections: dict[int, _SocketConnection] = {}
+        # Guards the client connections, the handler list and ``_closed``.
         self._connections_lock = threading.Lock()
         self._closed = False
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
-        self._server: asyncio.AbstractServer | None = None
-        self.port: int | None = None
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._serve_forever, name="repro-transport-server", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout=self._connect_timeout):
-            self.close()
-            raise TransportError("transport server failed to start in time")
-        if self._startup_error is not None:
-            self.close()
+        self._handlers: list[tuple[threading.Thread, socket_module.socket]] = []
+        try:
+            self._listener = socket_module.create_server(("127.0.0.1", 0))
+        except OSError as error:
             raise TransportError(
-                f"transport server failed to start: {self._startup_error}"
-            ) from self._startup_error
+                f"transport server failed to start: {error}"
+            ) from error
+        self.port: int = self._listener.getsockname()[1]
+        self._accept_thread = threading.Thread(
+            target=self._accept_connections, name="repro-transport-accept", daemon=True
+        )
+        self._accept_thread.start()
 
     # Server side ---------------------------------------------------------------
 
-    def _serve_forever(self) -> None:
-        asyncio.set_event_loop(self._loop)
-
-        async def boot() -> None:
-            self._server = await asyncio.start_server(
-                self._handle_connection, "127.0.0.1", 0
+    def _accept_connections(self) -> None:
+        while True:
+            try:
+                sock, _ = self._listener.accept()
+            except OSError:
+                return  # close() hung the listener up
+            sock.setsockopt(socket_module.IPPROTO_TCP, socket_module.TCP_NODELAY, 1)
+            handler = threading.Thread(
+                target=self._handle_connection,
+                args=(sock,),
+                name="repro-transport-handler",
+                daemon=True,
             )
-            self.port = self._server.sockets[0].getsockname()[1]
+            with self._connections_lock:
+                if self._closed:
+                    sock.close()
+                    return
+                self._handlers = [
+                    entry for entry in self._handlers if entry[0].is_alive()
+                ]
+                self._handlers.append((handler, sock))
+                handler.start()
 
-        try:
-            self._loop.run_until_complete(boot())
-        except BaseException as error:  # noqa: BLE001 - reported to the creator
-            self._startup_error = error
-            self._ready.set()
-            return
-        self._ready.set()
-        try:
-            self._loop.run_forever()
-        finally:
-            if self._server is not None:
-                self._server.close()
-            self._loop.close()
-
-    async def _handle_connection(self, reader, writer) -> None:
+    def _handle_connection(self, sock: socket_module.socket) -> None:
         decoder = FrameDecoder(self.max_frame_bytes)
         try:
             while True:
-                data = await reader.read(65536)
+                data = sock.recv(65536)
                 if not data:
                     break
                 # Garbage on the wire (the stream lost sync), a frame that
                 # does not decode, or an envelope with no seq to address a
                 # reply to: a TransportError here reaches the handler below
                 # and the only safe response is to drop the connection.
-                frames = decoder.feed(data)
-                for frame in frames:
-                    envelope = deserialize(frame)
-                    reply = await self._loop.run_in_executor(
-                        None, self._serve_request, envelope
-                    )
-                    reply_frame = encode_frame(serialize(reply), self.max_frame_bytes)
-                    copies = 2 if envelope.get("dup") else 1
-                    for _ in range(copies):
+                for frame in decoder.feed(data):
+                    for reply_frame in self._serve_frame(frame):
                         # Count before the write: the moment the bytes hit
                         # the wire the client may wake up and snapshot the
                         # stats, and the counters must already include them.
                         self._count_frame(len(reply_frame))
-                        writer.write(reply_frame)
-                    await writer.drain()
-        except (ConnectionError, TransportError, asyncio.CancelledError):
+                        sock.sendall(reply_frame)
+        except (OSError, TransportError):
             pass
         finally:
-            try:
-                writer.close()
-            except Exception:  # noqa: BLE001 - teardown best effort
-                pass
+            sock.close()
 
     # Client side ---------------------------------------------------------------
 
@@ -918,8 +1105,9 @@ class SocketTransport(_SerializingTransport):
 
     def _roundtrip(self, index, op, payload, *, fault, duplicate):
         provider_id = self.providers[index].provider_id
-        flags = {"dup": True} if duplicate else {}
-        seq, frame = self._frame_request(index, op, payload, fault=fault, **flags)
+        seq, frame = self._frame_request(
+            index, op, payload, fault=fault, duplicate=duplicate
+        )
         connection = self._connection(index)
         with connection.lock:
             try:
@@ -945,7 +1133,7 @@ class SocketTransport(_SerializingTransport):
         duplicate_seen = False
         while True:
             while connection.frames:
-                envelope = deserialize(connection.frames.pop(0))
+                envelope = deserialize(connection.frames.popleft())
                 if matched is None and envelope.get("seq") == seq:
                     matched = envelope
                 else:
@@ -962,37 +1150,27 @@ class SocketTransport(_SerializingTransport):
     # Lifecycle -----------------------------------------------------------------
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self.closed = True
+        """Hang up every socket and join every server thread, inside
+        :data:`_CLOSE_TIMEOUT` seconds in all."""
         with self._connections_lock:
+            if self._closed:
+                return
+            self._closed = True
+            self.closed = True
             connections = list(self._connections.values())
             self._connections.clear()
+            handlers = self._handlers
         for connection in connections:
             connection.close()
-        if self._loop.is_running():
-
-            async def shutdown() -> None:
-                if self._server is not None:
-                    self._server.close()
-                current = asyncio.current_task()
-                handlers = [
-                    task for task in asyncio.all_tasks() if task is not current
-                ]
-                for task in handlers:
-                    task.cancel()
-                await asyncio.gather(*handlers, return_exceptions=True)
-
-            try:
-                asyncio.run_coroutine_threadsafe(shutdown(), self._loop).result(
-                    timeout=5.0
-                )
-            except Exception:  # noqa: BLE001 - teardown best effort
-                pass
-            self._loop.call_soon_threadsafe(self._loop.stop)
-        if self._thread.is_alive():
-            self._thread.join(timeout=5.0)
+        _hang_up(self._listener)
+        self._listener.close()
+        # A handler mid-request finishes it and fails on the send; an idle
+        # one reads end-of-stream.  Each closes its own socket on the way out.
+        for _, sock in handlers:
+            _hang_up(sock)
+        deadline = time.monotonic() + _CLOSE_TIMEOUT
+        for thread in (self._accept_thread, *(thread for thread, _ in handlers)):
+            thread.join(max(0.0, deadline - time.monotonic()))
 
 
 _WORKER_READY_TIMEOUT = 60.0

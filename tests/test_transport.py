@@ -6,7 +6,10 @@ Three concerns, in order of how the wire can betray you:
    protocol message class (``ALL_MESSAGE_TYPES`` is iterated, so a new
    message cannot be added without a property here failing to cover it),
    plus the value types they carry (queries, budgets, reports, degraded
-   local answers) and whole phase payloads including empty batches.
+   local answers) and whole phase payloads including empty batches.  The
+   per-object codec the column-block one replaced stays here as the
+   reference: both must hand back the value they were given, bit for bit,
+   and a malformed block must be refused with a typed error.
 2. **Framer robustness** — partial-frame reads, truncated streams, garbage
    bytes, and hostile length prefixes must produce buffered waits or typed
    errors, never hangs or unbounded allocation; well-framed but hostile
@@ -14,10 +17,21 @@ Three concerns, in order of how the wire can betray you:
    connection, never index anything.
 3. **Socket smoke** — a real localhost federation over the socket
    transport, small rows, exercising connect/frame/dispatch/reply and the
-   stats counters end to end.
+   stats counters end to end; the server's threads must be gone after
+   ``close()`` and its counters exact under concurrent clients.
 """
 
 from __future__ import annotations
+
+import base64
+import dataclasses
+import json
+import os
+import socket as socket_module
+import struct
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -245,6 +259,269 @@ def test_unserialisable_values_raise_typed_errors():
         deserialize(serialize({"x": 1}).replace(b"x", b"\xff"))
 
 
+# -- 1b. the column-block codec against the per-object reference ------------------
+
+_REFERENCE_CLASSES = {
+    cls.__name__: cls
+    for cls in (*ALL_MESSAGE_TYPES, Interval, RangeQuery, QueryBudget, ProviderReport, LocalAnswer)
+}
+
+
+def _reference_to_wire(value):
+    """The per-object tagged-JSON walk this codec replaced, kept as the oracle."""
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, Aggregation):
+        return {"__en__": value.value}
+    if isinstance(value, np.ndarray):
+        data = base64.b64encode(np.ascontiguousarray(value).tobytes()).decode("ascii")
+        return {"__nd__": [str(value.dtype), list(value.shape), data]}
+    if type(value).__name__ in _REFERENCE_CLASSES:
+        fields = {
+            field.name: _reference_to_wire(getattr(value, field.name))
+            for field in dataclasses.fields(value)
+        }
+        return {"__dc__": type(value).__name__, "__f__": fields}
+    if isinstance(value, tuple):
+        return {"__tu__": [_reference_to_wire(item) for item in value]}
+    if isinstance(value, list):
+        return [_reference_to_wire(item) for item in value]
+    return {key: _reference_to_wire(item) for key, item in value.items()}
+
+
+def _reference_from_wire(value):
+    if isinstance(value, list):
+        return [_reference_from_wire(item) for item in value]
+    if not isinstance(value, dict):
+        return value
+    if "__en__" in value:
+        return Aggregation(value["__en__"])
+    if "__tu__" in value:
+        return tuple(_reference_from_wire(item) for item in value["__tu__"])
+    if "__nd__" in value:
+        dtype, shape, data = value["__nd__"]
+        array = np.frombuffer(base64.b64decode(data), dtype=np.dtype(dtype))
+        return array.reshape(tuple(shape)).copy()
+    if "__dc__" in value:
+        fields = {key: _reference_from_wire(item) for key, item in value["__f__"].items()}
+        return _REFERENCE_CLASSES[value["__dc__"]](**fields)
+    return {key: _reference_from_wire(item) for key, item in value.items()}
+
+
+def _reference_roundtrip(value):
+    data = json.dumps(_reference_to_wire(value), separators=(",", ":")).encode("utf-8")
+    return _reference_from_wire(json.loads(data.decode("utf-8")))
+
+
+def _bits(value):
+    """``value`` with every type spelled out and every float as its 8 bytes.
+
+    ``==`` alone would let ``1`` stand in for ``1.0`` or ``True``, ``-0.0``
+    for ``0.0`` and a list for the tuple it replaced.
+    """
+    if isinstance(value, float):
+        return ("float", struct.pack("<d", value))
+    if dataclasses.is_dataclass(value):
+        return (
+            type(value),
+            [_bits(getattr(value, field.name)) for field in dataclasses.fields(value)],
+        )
+    if isinstance(value, (list, tuple)):
+        return (type(value), [_bits(item) for item in value])
+    if isinstance(value, dict):
+        return (dict, [(key, _bits(item)) for key, item in value.items()])
+    return (type(value), value)
+
+
+def _assert_codecs_agree(value):
+    expected = _bits(value)
+    assert _bits(_wire_roundtrip(value)) == expected
+    assert _bits(_reference_roundtrip(value)) == expected
+
+
+_VALUE_STRATEGIES = {
+    **{cls.__name__: strategy for cls, strategy in _MESSAGE_STRATEGIES.items()},
+    "Interval": st.builds(
+        lambda low, width: Interval(low, low + width),
+        st.integers(-(2**40), 2**40),
+        st.integers(0, 2**20),
+    ),
+    "RangeQuery": _queries(),
+    "QueryBudget": _budgets,
+    "ProviderReport": _reports,
+    "LocalAnswer": _local_answers,
+}
+# NaN has no bit-exact claim (see test_nan_roundtrips_as_nan); every other
+# double does, infinities and signed zeros included.
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**63), 2**63)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=8)
+)
+
+
+def test_every_wire_class_has_a_list_strategy():
+    from repro.federation import transport
+
+    assert set(_VALUE_STRATEGIES) == set(transport._WIRE_DATACLASSES)
+
+
+# 0 and 1 stay plain arrays, 2 is the shortest column block, "n" the general one.
+@pytest.mark.parametrize("size", [0, 1, 2, "n"])
+@pytest.mark.parametrize("name", sorted(_VALUE_STRATEGIES))
+def test_lists_of_one_class_roundtrip_like_the_reference(name, size):
+    low, high = (3, 9) if size == "n" else (size, size)
+
+    @given(st.lists(_VALUE_STRATEGIES[name], min_size=low, max_size=high))
+    def check(values):
+        _assert_codecs_agree(values)
+        _assert_codecs_agree({"batch": values, "also": tuple(values)})
+        encoded = json.loads(serialize(values))
+        # The block is what is claimed to be on the wire, not a per-object list.
+        assert isinstance(encoded, dict) == (len(values) >= 2)
+
+    check()
+
+
+@given(
+    st.lists(
+        st.one_of(*_VALUE_STRATEGIES.values()) | _scalars | st.lists(_scalars, max_size=3),
+        max_size=8,
+    )
+)
+def test_mixed_class_and_mixed_primitive_lists_roundtrip(values):
+    _assert_codecs_agree(values)
+
+
+@given(
+    st.recursive(
+        _scalars | _allocations | _budgets,
+        lambda inner: st.lists(inner, max_size=4).map(tuple)
+        | st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=4).filter(lambda key: not key.startswith("__")), inner, max_size=3),
+        max_leaves=12,
+    )
+)
+def test_nested_tuples_lists_and_mappings_roundtrip(value):
+    _assert_codecs_agree(value)
+
+
+@given(
+    st.lists(_query_requests(), min_size=2, max_size=6),
+    st.tuples(st.text(max_size=16), st.text(max_size=16)),
+)
+def test_seed_material_and_trace_context_ride_a_block(requests, trace_context):
+    # Columns of tuples-or-None: per-element tagged values inside the block.
+    requests = [
+        dataclasses.replace(request, trace_context=trace_context if position % 2 else None)
+        for position, request in enumerate(requests)
+    ]
+    _assert_codecs_agree(requests)
+    for original, restored in zip(requests, _wire_roundtrip(requests)):
+        assert type(restored.seed_material) is type(original.seed_material)
+        assert type(restored.query.ranges) is dict
+
+
+def test_a_block_names_its_class_once_and_keeps_scalar_columns_plain():
+    allocations = [
+        AllocationMessage(query_id=i, provider_id="p", sample_size=i * i) for i in range(3)
+    ]
+    assert json.loads(serialize(allocations)) == {
+        "__dc__": "AllocationMessage",
+        "__cols__": [[0, 1, 2], ["p", "p", "p"], [0, 1, 4]],
+    }
+    queries = [RangeQuery.count({"age": (1, 2)}), RangeQuery.sum({"age": (3, 4), "dept": (5, 6)})]
+    assert json.loads(serialize(queries)) == {
+        "__dc__": "RangeQuery",
+        "__cols__": [
+            {"__en__": ["count", "sum"]},  # an enum column is its values
+            {
+                "__maps__": [
+                    [["age"], ["age", "dept"]],
+                    {"__dc__": "Interval", "__cols__": [[1, 3, 5], [2, 4, 6]]},
+                ]
+            },
+            [None, "measure"],
+        ],
+    }
+    assert json.loads(serialize(queries[:1])) == [
+        {
+            "__dc__": "RangeQuery",
+            "__f__": [
+                {"__en__": "count"},
+                {"age": {"__dc__": "Interval", "__f__": [1, 2]}},
+                None,
+            ],
+        }
+    ]
+
+
+_MALFORMED = {
+    "row with too few fields": {"__dc__": "Interval", "__f__": [1]},
+    "row with too many fields": {"__dc__": "Interval", "__f__": [1, 2, 3]},
+    "row with named fields": {"__dc__": "Interval", "__f__": {"low": 1, "high": 2}},
+    "row without fields": {"__dc__": "Interval"},
+    "row a constructor rejects": {"__dc__": "Interval", "__f__": [5, 1]},
+    "row of an unknown class": {"__dc__": "Intervall", "__f__": [1, 2]},
+    "row of an unhashable class": {"__dc__": ["Interval"], "__f__": [1, 2]},
+    "query without ranges": {"__dc__": "RangeQuery", "__f__": [{"__en__": "count"}, {}, None]},
+    "block with too few columns": {"__dc__": "Interval", "__cols__": [[1, 2]]},
+    "block with too many columns": {"__dc__": "Interval", "__cols__": [[1], [2], [3]]},
+    "block with ragged columns": {"__dc__": "Interval", "__cols__": [[1, 2, 3], [4, 5]]},
+    "block with a scalar column": {"__dc__": "Interval", "__cols__": [[1, 2], 7]},
+    "block with a string column": {"__dc__": "Interval", "__cols__": [[1, 2], "34"]},
+    "block with a mapping column": {"__dc__": "Interval", "__cols__": [[1, 2], {"a": 3}]},
+    "block with a row for a column": {
+        "__dc__": "LocalAnswer",
+        "__cols__": [[], {"__dc__": "Interval", "__f__": [1, 2]}],
+    },
+    "block of an unknown class": {"__dc__": "Table", "__cols__": [[1], [2]]},
+    "block a constructor rejects": {"__dc__": "Interval", "__cols__": [[1, 5], [2, 1]]},
+    "block with too few enum values": {
+        "__dc__": "RangeQuery",
+        "__cols__": [{"__en__": ["count"]}, [{"a": [1, 2]}, {"a": [1, 2]}], [None, None]],
+    },
+    "block with one enum value for a column": {
+        "__dc__": "RangeQuery",
+        "__cols__": [{"__en__": "count"}, [{"a": [1, 2]}], [None]],
+    },
+    "columns without a class": {"__cols__": [[1], [2]]},
+    "fields without a class": {"__f__": [1, 2]},
+    "mappings with too few values": {"__maps__": [[["a", "b"], ["c"]], [1, 2]]},
+    "mappings with too many values": {"__maps__": [[["a"]], [1, 2]]},
+    "mappings with a non-string key": {"__maps__": [[["a", 1]], [1, 2]]},
+    "mappings with an unhashable key": {"__maps__": [[[["a"]]], [1]]},
+    "mappings with a string for keys": {"__maps__": [["ab"], [1, 2]]},
+    "mappings with scalar values": {"__maps__": [[["a"]], 1]},
+    "mappings of the wrong arity": {"__maps__": [[["a"]]]},
+    "tuple of a scalar": {"__tu__": 3},
+    "tuple of a string": {"__tu__": "abc"},
+    "array of a bad dtype": {"__nd__": ["no-such-dtype", [1], ""]},
+    "array of the wrong shape": {"__nd__": ["int64", [3], ""]},
+    "unknown enum value": {"__en__": "median"},
+    "unknown enum value in a column": {"__en__": ["count", "median"]},
+    "unhashable enum value": {"__en__": {"count": 1}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED))
+def test_malformed_wire_values_are_refused_with_a_typed_error(name):
+    for wire in (_MALFORMED[name], {"seq": 1, "payload": [0, _MALFORMED[name]]}):
+        with pytest.raises(TransportError):
+            deserialize(json.dumps(wire).encode("utf-8"))
+
+
+@pytest.mark.parametrize("key", ["__dc__", "__f__", "__cols__", "__maps__", "__tu__", "__nd__", "__en__"])
+def test_reserved_keys_in_a_mapping_are_refused_on_the_way_out(key):
+    for value in ({key: 1}, [{key: 1}, {"fine": 2}], {"nested": ({"fine": 1}, {key: 2})}):
+        with pytest.raises(TransportError, match="reserved"):
+            serialize(value)
+    with pytest.raises(TransportError, match="non-reserved strings"):
+        serialize([{1: "integer key"}, {"fine": 2}])
+
+
 # -- 2. framer robustness -------------------------------------------------------
 
 
@@ -293,8 +570,6 @@ def test_oversized_frame_rejected_on_both_sides():
         encode_frame(b"x" * 2049, max_frame_bytes=2048)
     # A hostile length prefix is rejected from the header alone — no
     # buffering of data that will never fit.
-    import struct
-
     hostile = WIRE_MAGIC + struct.pack("!I", 2**31)
     decoder = FrameDecoder(max_frame_bytes=2048)
     with pytest.raises(TransportError, match="ceiling"):
@@ -330,28 +605,64 @@ _HOSTILE_ENVELOPES = [
 ]
 
 
-@pytest.mark.parametrize("envelope,replies", _HOSTILE_ENVELOPES)
-def test_hostile_envelopes_get_a_typed_reply_or_drop_the_connection(envelope, replies):
-    """The server boundary validates before it indexes: loopback and socket."""
-    import socket as socket_module
+def _request_carrying(value: bytes, *, seq: bool) -> bytes:
+    """A well-formed summary request, but for one wire value inside its payload."""
+    head = b'{"seq":7,' if seq else b"{"
+    return (
+        head
+        + b'"op":"summary","provider":0,"payload":{"epsilon":0.5,"requests":['
+        + value
+        + b"]}}"
+    )
 
+
+# Well-framed, valid JSON, an envelope of the right shape — but the payload
+# holds a value the codec must refuse.  Decoding fails before any envelope
+# exists; a readable seq still earns the peer a typed reply.
+_UNDECODABLE_VALUES = {
+    "interval-low-above-high": b'{"__dc__":"Interval","__f__":[5,1]}',  # was QueryError
+    "query-without-ranges": b'{"__dc__":"RangeQuery","__f__":[{"__en__":"count"},{},null]}',
+    "fields-of-the-wrong-shape": b'{"__dc__":"Interval","__f__":{"low":1,"high":2}}',  # was AttributeError
+    "block-a-constructor-rejects": b'{"__dc__":"Interval","__cols__":[[1,5],[2,1]]}',
+}
+_HOSTILE_ENVELOPES += [
+    pytest.param(_request_carrying(value, seq=seq), seq, id=f"{name}-{seq}")
+    for name, value in _UNDECODABLE_VALUES.items()
+    for seq in (True, False)
+]
+
+
+@pytest.mark.parametrize("envelope,replies", _HOSTILE_ENVELOPES)
+def test_hostile_envelopes_get_a_typed_reply_or_drop_the_connection(
+    envelope, replies, monkeypatch
+):
+    """The server boundary validates before it indexes: loopback and socket."""
+    payload = envelope if isinstance(envelope, bytes) else serialize(envelope)
+    calls: list[str] = []
     with FederatedAQPSystem.from_table(
         _table(200), config=_config(kind="socket")
     ) as system:
         transport = system.aggregator.transport
+        for provider in transport.providers:
+            for phase in ("prepare_summary_batch", "answer_batch", "forget_batch"):
+                monkeypatch.setattr(
+                    provider, phase, lambda *a, _phase=phase, **k: calls.append(_phase)
+                )
+        # The loopback carrier's server is this same method, minus the socket.
         if replies:
-            reply = transport._serve_request(envelope)
+            (reply_frame,) = transport._serve_frame(payload)
+            (reply,) = FrameDecoder().feed(reply_frame)
+            reply = deserialize(reply)
             assert reply["seq"] == 7
             assert reply["err"][0] in ("TransportError", "KeyError")
         else:
             with pytest.raises(TransportError):
-                transport._serve_request(envelope)
-        # Over real TCP the handler task must end the same way, not die on
+                transport._serve_frame(payload)
+        # Over real TCP the handler thread must end the same way, not die on
         # an unhandled exception: a reply frame, or a closed connection.
-        frame = encode_frame(serialize(envelope))
         with socket_module.create_connection(("127.0.0.1", transport.port), 5.0) as sock:
             sock.settimeout(5.0)
-            sock.sendall(frame)
+            sock.sendall(encode_frame(payload))
             decoder = FrameDecoder()
             frames: list[bytes] = []
             while not frames:
@@ -365,20 +676,26 @@ def test_hostile_envelopes_get_a_typed_reply_or_drop_the_connection(envelope, re
             assert frames == []
         # The server is still there for well-behaved peers.
         assert transport._call(0, "ping", {}) == "pong"
+        assert calls == []
 
 
 def test_undecodable_frame_drops_the_socket_connection():
     """A frame that is not JSON escaped the handler as an unhandled task error."""
-    import socket as socket_module
-
     with FederatedAQPSystem.from_table(
         _table(200), config=_config(kind="socket")
     ) as system:
         transport = system.aggregator.transport
-        with socket_module.create_connection(("127.0.0.1", transport.port), 5.0) as sock:
-            sock.settimeout(5.0)
-            sock.sendall(encode_frame(b"not json at all {{{"))
-            assert sock.recv(65536) == b""
+        hostile_length = WIRE_MAGIC + struct.pack("!I", transport.max_frame_bytes + 1)
+        for stream in (
+            encode_frame(b"not json at all {{{"),
+            encode_frame(b"[" * 100_000 + b"]" * 100_000),  # RecursionError inside json
+            hostile_length,  # over the frame ceiling: refused from the header alone
+            b"GET / HTTP/1.1\r\n\r\n",
+        ):
+            with socket_module.create_connection(("127.0.0.1", transport.port), 5.0) as sock:
+                sock.settimeout(5.0)
+                sock.sendall(stream)
+                assert sock.recv(65536) == b""
         assert transport._call(0, "ping", {}) == "pong"
 
 
@@ -452,6 +769,129 @@ def test_socket_transport_call_after_close_raises():
         system.execute_batch(_QUERIES[:1], compute_exact=False)
     with pytest.raises(TransportError):
         transport.forget_batch(0, [999])
+
+
+def _server_threads(transport: SocketTransport) -> list[threading.Thread]:
+    return [transport._accept_thread, *(thread for thread, _ in transport._handlers)]
+
+
+@pytest.mark.parametrize("in_flight", [False, True], ids=["idle", "in-flight"])
+def test_socket_server_close_joins_every_thread_inside_its_timeout(in_flight, monkeypatch):
+    providers = FederatedAQPSystem.from_table(_table(200), config=_config()).providers
+    transport = SocketTransport(providers)
+    assert [transport._call(index, "ping", {}) for index in (0, 1)] == ["pong"] * 2
+    threads = _server_threads(transport)
+    assert len(threads) == 3 and all(thread.is_alive() for thread in threads)
+
+    outcome: list[BaseException] = []
+    if in_flight:
+        entered = threading.Event()
+
+        def slow_forget(query_ids):
+            entered.set()
+            time.sleep(0.3)
+
+        def client():
+            try:
+                transport.forget_batch(0, [1])
+            except TransportError as error:
+                outcome.append(error)
+
+        monkeypatch.setattr(providers[0], "forget_batch", slow_forget)
+        caller = threading.Thread(target=client, daemon=True)
+        caller.start()
+        assert entered.wait(5.0)
+
+    started = time.monotonic()
+    transport.close()
+    assert time.monotonic() - started < 5.0  # transport._CLOSE_TIMEOUT
+    assert [thread.is_alive() for thread in threads] == [False] * 3
+    if in_flight:
+        # The request ran to its end; its reply had nowhere left to go.
+        caller.join(5.0)
+        assert not caller.is_alive()
+        assert len(outcome) == 1
+
+    started = time.monotonic()
+    transport.close()  # a no-op, not a second teardown
+    assert time.monotonic() - started < 0.5
+    with pytest.raises(TransportError, match="closed"):
+        transport._call(0, "ping", {})
+    with SocketTransport(providers) as fresh:
+        assert fresh._call(1, "ping", {}) == "pong"
+        threads = _server_threads(fresh)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def test_socket_server_gives_concurrent_clients_their_own_replies_and_exact_counters():
+    """More client threads than cores over four connections, switching often."""
+    config = dataclasses.replace(_config(kind="socket"), num_providers=4)
+    workers = 2 * (os.cpu_count() or 1) + 2
+    rounds = 60
+    sent: list[int] = []
+    received: list[int] = []
+    mismatched: list[tuple[int, int]] = []
+    failures: list[BaseException] = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with FederatedAQPSystem.from_table(_table(400), config=config) as system:
+            transport = system.aggregator.transport
+            frame_request, serve_frame = transport._frame_request, transport._serve_frame
+            requested = threading.local()
+
+            def recording_request(*args, **kwargs):
+                requested.seq, frame = frame_request(*args, **kwargs)
+                sent.append(len(frame))
+                return requested.seq, frame
+
+            def recording_serve(request):
+                reply_frames = serve_frame(request)
+                received.extend(map(len, reply_frames))
+                return reply_frames
+
+            transport._frame_request = recording_request
+            transport._serve_frame = recording_serve
+            deadline = time.monotonic() + 30.0
+
+            def client(worker: int) -> None:
+                try:
+                    for step in range(rounds):
+                        if time.monotonic() > deadline:
+                            raise TimeoutError("stress run overran its bound")
+                        # A forget is as cheap as a ping but has a payload
+                        # whose size differs from request to request.
+                        index = (worker + step) % 4
+                        reply = transport._roundtrip(
+                            index,
+                            "forget",
+                            {"query_ids": list(range(10**6, 10**6 + step % 7))},
+                            fault=None,
+                            duplicate=False,
+                        )
+                        if reply["seq"] != requested.seq or reply.get("ok") is not True:
+                            mismatched.append((requested.seq, reply["seq"]))
+                except BaseException as error:  # noqa: BLE001 - reported below
+                    failures.append(error)
+
+            threads = [
+                threading.Thread(target=client, args=(worker,), daemon=True)
+                for worker in range(workers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(max(0.0, deadline + 5.0 - time.monotonic()))
+            assert not any(thread.is_alive() for thread in threads)
+            assert failures == [] and mismatched == []
+            stats = transport.snapshot_stats()
+            assert len(sent) == len(received) == workers * rounds
+            assert stats.messages == len(sent) + len(received)
+            assert stats.bytes_sent == sum(sent) + sum(received)
+            assert stats.frames_duplicated == 0
+            assert len(transport._handlers) == 4
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_loopback_surfaces_provider_errors_typed():
