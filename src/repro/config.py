@@ -28,7 +28,6 @@ __all__ = [
     "NetworkConfig",
     "SMCConfig",
     "ResilienceConfig",
-    "ExecutionConfig",
     "CacheConfig",
     "ServiceConfig",
     "IngestConfig",
@@ -40,8 +39,6 @@ __all__ = [
     "DEFAULT_NETWORK",
     "DEFAULT_SMC",
     "DEFAULT_RESILIENCE",
-    "DEFAULT_EXECUTION",
-    "DENSE_EXECUTION",
     "DEFAULT_CACHE",
     "DEFAULT_SERVICE",
     "DEFAULT_INGEST",
@@ -299,75 +296,6 @@ class ResilienceConfig:
     def with_enabled(self, enabled: bool = True) -> "ResilienceConfig":
         """Return a copy with degradation switched on or off."""
         return replace(self, enabled=enabled)
-
-
-@dataclass(frozen=True)
-class ExecutionConfig:
-    """Kernel-level policy of the exact execution engine.
-
-    Controls how the vectorised ``Q(C)`` kernels of
-    :class:`~repro.storage.layout.ClusterLayout` evaluate a batch.  Every
-    combination of switches returns bit-identical values (integer sums are
-    exact under reordering); the knobs trade work and peak memory only.
-
-    Attributes
-    ----------
-    prune:
-        Intersect query bounds with the per-cluster zone maps first: clusters
-        that cannot overlap a query are skipped outright and clusters fully
-        inside a query's box short-circuit to their precomputed segment sum —
-        no row is touched in either case.  Only straddling (partially
-        overlapping) clusters fall back to row evaluation.
-    sorted_bisect:
-        For clusters whose rows are sorted on a dimension and whose only
-        straddling dimension is that one, answer with two binary searches
-        over the sorted column plus a measure prefix-sum difference —
-        ``O(log rows)`` instead of a row scan.
-    max_kernel_bytes:
-        Peak-temporary budget of the row-evaluation kernels.  Batches whose
-        dense intermediates would exceed it are evaluated tile by tile
-        (query blocks × segment-aligned row chunks).  ``None`` disables
-        tiling.  A single (query, cluster) pair is never split, so the hard
-        peak is ``max(max_kernel_bytes, bytes_per_row * largest_cluster)``.
-    kernel_backend:
-        Implementation tier of the straddler row kernels.  ``"auto"``
-        (default) uses the compiled numba kernels when numba is importable
-        and the pure-NumPy kernels otherwise; ``"numpy"`` forces the
-        reference path; ``"numba"`` requests the compiled path and falls
-        back to NumPy with a one-time :class:`RuntimeWarning` (reason
-        recorded in the kernel telemetry) when numba is missing.  Backends
-        are bit-identical — only throughput changes.
-    """
-
-    prune: bool = True
-    sorted_bisect: bool = True
-    max_kernel_bytes: int | None = 64 * 2**20
-    kernel_backend: str = "auto"
-
-    def __post_init__(self) -> None:
-        if self.max_kernel_bytes is not None:
-            _require(
-                self.max_kernel_bytes >= 4096,
-                f"max_kernel_bytes must be >= 4096, got {self.max_kernel_bytes}",
-            )
-        _require(
-            self.kernel_backend in ("auto", "numpy", "numba"),
-            'kernel_backend must be "auto", "numpy" or "numba", '
-            f"got {self.kernel_backend!r}",
-        )
-
-    @classmethod
-    def dense(cls) -> "ExecutionConfig":
-        """The reference engine: dense evaluation, no pruning, no tiling."""
-        return cls(prune=False, sorted_bisect=False, max_kernel_bytes=None)
-
-    def with_max_kernel_bytes(self, max_kernel_bytes: int | None) -> "ExecutionConfig":
-        """Return a copy with a different kernel memory budget."""
-        return replace(self, max_kernel_bytes=max_kernel_bytes)
-
-    def with_kernel_backend(self, kernel_backend: str) -> "ExecutionConfig":
-        """Return a copy with a different kernel backend selection."""
-        return replace(self, kernel_backend=kernel_backend)
 
 
 @dataclass(frozen=True)
@@ -740,7 +668,6 @@ class SystemConfig:
     network: NetworkConfig = field(default_factory=NetworkConfig)
     smc: SMCConfig = field(default_factory=SMCConfig)
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
-    execution: ExecutionConfig = field(default_factory=ExecutionConfig)
     cache: CacheConfig = field(default_factory=CacheConfig)
     service: ServiceConfig = field(default_factory=ServiceConfig)
     ingest: IngestConfig = field(default_factory=IngestConfig)
@@ -774,10 +701,6 @@ class SystemConfig:
         """Return a copy with a different summary-cache policy."""
         return replace(self, cache=cache)
 
-    def with_execution(self, execution: ExecutionConfig) -> "SystemConfig":
-        """Return a copy with a different kernel execution policy."""
-        return replace(self, execution=execution)
-
     def with_resilience(self, resilience: ResilienceConfig) -> "SystemConfig":
         """Return a copy with a different graceful-degradation policy."""
         return replace(self, resilience=resilience)
@@ -806,8 +729,6 @@ DEFAULT_SAMPLING = SamplingConfig()
 DEFAULT_NETWORK = NetworkConfig()
 DEFAULT_SMC = SMCConfig()
 DEFAULT_RESILIENCE = ResilienceConfig()
-DEFAULT_EXECUTION = ExecutionConfig()
-DENSE_EXECUTION = ExecutionConfig.dense()
 DEFAULT_CACHE = CacheConfig()
 DEFAULT_SERVICE = ServiceConfig()
 DEFAULT_INGEST = IngestConfig()

@@ -185,7 +185,6 @@ class FederatedAQPSystem:
                 sort_by=sort_by,
                 intra_sort_by=intra_sort_by,
                 cache_config=cfg.cache,
-                execution_config=cfg.execution,
                 ingest_config=cfg.ingest,
                 rng=derive_rng(cfg.seed, "provider", index),
                 **extra,

@@ -43,8 +43,8 @@ class DatasetScenario:
         draw sequences a function of the scenario seed alone.
 
         Providers are rebuilt from the existing providers' own partitions
-        and settings (clustering policy, sort keys, ``n_min``, cache and
-        execution configs), so the fresh federation matches
+        and settings (clustering policy, sort keys, ``n_min``, cache
+        config), so the fresh federation matches
         :attr:`system` exactly even for scenarios built with non-default
         provider options.
         """
@@ -59,7 +59,6 @@ class DatasetScenario:
                 sort_by=provider.sort_by,
                 intra_sort_by=provider.intra_sort_by,
                 cache_config=provider.cache_config,
-                execution_config=provider.execution_config,
                 ingest_config=provider.ingest_config,
                 rng=derive_rng(config.seed, "provider", index),
             )

@@ -56,7 +56,7 @@ import numpy as np
 
 from ..cache.key import answer_key, key_delta_watermark, key_query_ranges, summary_key
 from ..cache.store import ReleaseCache
-from ..config import DEFAULT_INGEST, CacheConfig, ExecutionConfig, IngestConfig
+from ..config import DEFAULT_INGEST, CacheConfig, IngestConfig
 from ..core.accounting import QueryBudget
 from ..core.result import ProviderReport
 from ..core.sensitivity import (
@@ -178,10 +178,6 @@ class DataProvider:
         Optionally sort each cluster's rows by this dimension at build time
         (cluster membership unchanged) so the layout's bisection kernels
         apply; see :meth:`repro.storage.clustered_table.ClusteredTable.from_table`.
-    execution_config:
-        Kernel policy (:class:`~repro.config.ExecutionConfig`) for the
-        exact ``Q(C)`` evaluation; ``None`` uses the library default
-        (pruned, sorted-bisect, 64 MiB kernel budget).
     ingest_config:
         Streaming-ingestion policy (:class:`~repro.config.IngestConfig`):
         when :meth:`ingest_rows` may auto-compact and at what delta size;
@@ -196,7 +192,6 @@ class DataProvider:
     sort_by: str | None = None
     cache_config: CacheConfig | None = None
     intra_sort_by: str | None = None
-    execution_config: ExecutionConfig | None = None
     ingest_config: IngestConfig | None = None
     rng: RngLike = None
     clustered: ClusteredTable = field(init=False, repr=False)
@@ -238,9 +233,7 @@ class DataProvider:
             intra_sort_by=self.intra_sort_by,
         )
         self.metadata = build_metadata(self.clustered)
-        self._executor = ExactExecutor(
-            self.clustered, self.metadata, execution=self.execution_config
-        )
+        self._executor = ExactExecutor(self.clustered, self.metadata)
 
     # -- offline properties --------------------------------------------------
 
@@ -463,9 +456,7 @@ class DataProvider:
                 intra_sort_by=self.intra_sort_by,
             )
             self.metadata = patch_metadata(self.metadata, self.clustered, first_affected)
-            self._executor = ExactExecutor(
-                self.clustered, self.metadata, execution=self.execution_config
-            )
+            self._executor = ExactExecutor(self.clustered, self.metadata)
         else:
             first_affected = 0
             self._build_layout()
@@ -1065,7 +1056,7 @@ class DataProvider:
             for plan in plans
         ]
         values_list = self.clustered.layout().query_cluster_values(
-            batch, positions_per_query, execution=self.execution_config
+            batch, positions_per_query
         )
         values: list[np.ndarray] = []
         for plan, unique_values in zip(plans, values_list):

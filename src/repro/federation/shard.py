@@ -198,7 +198,7 @@ class ShardedProvider(DataProvider):
                 clusters=int(sum(p.size for p in local_positions)),
             ):
                 shard_values = shard.clustered.layout().query_cluster_values(
-                    batch, local_positions, execution=self.execution_config
+                    batch, local_positions
                 )
             for query_index, values in enumerate(shard_values):
                 if values.size:

@@ -178,8 +178,7 @@ class MetricsRegistry:
 
         Metric names are prefixed ``repro_`` and sanitised; group entries
         become ``repro_<group>_<key>`` gauges.  Non-numeric group values
-        (backend names, fallback reasons) are skipped — Prometheus carries
-        numbers only.
+        are skipped — Prometheus carries numbers only.
         """
         snapshot = self.snapshot()
         lines: list[str] = []

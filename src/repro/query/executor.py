@@ -21,7 +21,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..config import ExecutionConfig
 from ..storage.cluster import Cluster
 from ..storage.clustered_table import ClusteredTable
 from ..storage.metadata import MetadataStore
@@ -94,11 +93,9 @@ class ExactExecutor:
         self,
         clustered: ClusteredTable,
         metadata: MetadataStore | None = None,
-        execution: ExecutionConfig | None = None,
     ) -> None:
         self._clustered = clustered
         self._metadata = metadata
-        self._execution = execution
 
     @property
     def clustered_table(self) -> ClusteredTable:
@@ -151,9 +148,7 @@ class ExactExecutor:
                 np.array([position_of[cluster_id] for cluster_id in ids], dtype=np.int64)
                 for ids in covering_lists
             ]
-        values_list = layout.query_cluster_values(
-            batch, covering_positions, execution=self._execution
-        )
+        values_list = layout.query_cluster_values(batch, covering_positions)
         return [
             ExactExecution(
                 value=int(values.sum()),

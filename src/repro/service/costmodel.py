@@ -11,13 +11,11 @@ drain chunks with (see
 * **Structural units** — per provider, a query costs a constant protocol
   overhead (summary, allocation, estimate round-trips and noise draws) plus
   per-cluster work for every cluster of its covering set plus per-row work
-  for the rows a pruned executor actually inspects: straddler rows and the
-  provider's unfolded delta buffer.  A provider whose
-  :class:`~repro.config.ExecutionConfig` disables pruning scans every row
-  of every covering cluster instead — the backend changes the estimate, not
-  just the execution.
+  for the rows the executor actually inspects: straddler rows and the
+  provider's unfolded delta buffer (covered clusters short-circuit to
+  precomputed segment sums).
 * **Online calibration** — structural units only *rank* queries; the
-  mapping to wall-clock is machine- and backend-dependent, so the scheduler
+  mapping to wall-clock is machine-dependent, so the scheduler
   feeds every executed chunk's ``(predicted units, measured seconds)`` back
   into :meth:`CostModel.observe`.  An EWMA of the implied seconds-per-unit
   converges the scale, and an EWMA of the relative prediction error is
@@ -35,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from ..config import ExecutionConfig
 from ..query.model import RangeQuery
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (system -> service)
@@ -109,19 +106,15 @@ class CostModel:
         covered = [0] * len(queries)
         straddler_rows = [0] * len(queries)
         for provider in self.system.providers:
-            execution = provider.execution_config or ExecutionConfig()
             delta_rows = provider.delta_rows
             for index, stats in enumerate(provider.cost_stats_batch(queries)):
                 clusters[index] += stats.clusters_touched
                 covered[index] += stats.clusters_covered
                 straddler_rows[index] += stats.straddler_rows
-                if execution.prune:
-                    # Covered clusters short-circuit to metadata sums; only
-                    # straddler rows (and the unfolded delta buffer, which
-                    # every query scans) cost row work.
-                    rows = stats.straddler_rows + delta_rows
-                else:
-                    rows = stats.covered_rows + stats.straddler_rows + delta_rows
+                # Covered clusters short-circuit to metadata sums; only
+                # straddler rows (and the unfolded delta buffer, which every
+                # query scans) cost row work.
+                rows = stats.straddler_rows + delta_rows
                 totals[index] += (
                     UNITS_PER_QUERY
                     + UNITS_PER_CLUSTER * stats.clusters_touched

@@ -43,7 +43,7 @@ all answer-preserving (they move *when* work runs, never what it returns):
   :attr:`~repro.config.ServiceConfig.drain_time_budget_ms` set, every
   submission is priced in work units by the
   :class:`~repro.service.costmodel.CostModel` (zone-map covering sets,
-  covered-vs-straddler split, per-backend row volumes) and the drain's
+  covered-vs-straddler split) and the drain's
   workload is packed by
   :func:`~repro.federation.partitioning.work_balanced_chunks` so no chunk's
   *estimated* wall-clock exceeds the budget; ``max_batch_size`` remains a

@@ -65,8 +65,8 @@ class ClusteredTable:
         An **empty** table (0 rows) is accepted and yields a single empty
         placeholder cluster, so a provider can be born empty and
         bootstrapped purely by ingest (:mod:`repro.ingest`); every kernel —
-        dense and pruned — answers zero over it, and the first compaction
-        replaces the placeholder with real clusters.
+        production and the dense oracle — answers zero over it, and the
+        first compaction replaces the placeholder with real clusters.
 
         Parameters
         ----------

@@ -20,9 +20,10 @@ structures (all O(rows) to build, built once per layout):
   non-decreasing inside every segment can answer straddling predicates with
   two binary searches plus a prefix difference (``O(log rows)``).
 
-How much of this machinery a kernel call uses is governed by
-:class:`~repro.config.ExecutionConfig`; every mode returns bit-identical
-int64 values because integer sums are exact under any evaluation order.
+Every kernel call uses all of it — there is one evaluation path and no
+option selecting another.  :meth:`ClusterLayout.cluster_values_dense` keeps
+the plain row scan as the oracle tests compare against; the two agree bit
+for bit because integer sums are exact under any evaluation order.
 
 The layout is a query-time acceleration structure only — clusters remain the
 unit of storage, sampling, and metadata, exactly as in the paper.
@@ -36,9 +37,7 @@ from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..config import DEFAULT_EXECUTION, ExecutionConfig
 from ..errors import StorageError
-from .kernels import KernelBackend, numba_kernels, resolve_backend
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..query.batch import QueryBatch
@@ -49,6 +48,7 @@ __all__ = [
     "collect_kernel_telemetry",
     "telemetry_active",
     "merge_active_telemetry",
+    "MAX_KERNEL_BYTES",
     "OPEN_LOW",
     "OPEN_HIGH",
 ]
@@ -62,6 +62,18 @@ __all__ = [
 OPEN_LOW = np.iinfo(np.int64).min // 4
 OPEN_HIGH = np.iinfo(np.int64).max // 4
 
+# Peak-temporary budget of the row kernels.  Work whose intermediates would
+# exceed it is evaluated tile by tile; a single (query, cluster) pair is never
+# split, so the hard peak is max(MAX_KERNEL_BYTES, bytes per row * largest
+# cluster).  A constant, not an option: one value has ever been in use and
+# the 1.6M-row benchmark workload reaches it.
+MAX_KERNEL_BYTES = 64 * 2**20
+
+# Per-(query, row) temporary footprint of the dense kernels: one byte for the
+# running mask, one for the comparison temporary, eight for the int64
+# contributions row.
+_DENSE_BYTES_PER_CELL = 10
+
 
 @dataclass
 class KernelTelemetry:
@@ -74,29 +86,18 @@ class KernelTelemetry:
     Attributes
     ----------
     pairs_total / pairs_pruned / pairs_covered / pairs_bisected / pairs_scanned:
-        Classification of every (query, cluster) pair a pruned kernel call
+        Classification of every (query, cluster) pair a kernel call
         considered: dropped by the zone maps, short-circuited to the segment
         sum, answered by sorted bisection, or row-evaluated.
     rows_evaluated:
-        Rows actually read by the row-evaluation kernels (the dense engine
+        Rows actually read by the row-evaluation kernels (the dense oracle
         reads ``num_queries * num_rows``).
     tiles:
         Number of evaluation tiles the row kernels split their work into.
     max_tile_bytes:
         Largest estimated per-tile temporary footprint — bounded by
-        ``ExecutionConfig.max_kernel_bytes`` (up to one un-splittable
-        cluster row-range) when tiling is on.
-    backend:
-        Name of the backend that served the last row/bisect kernel call
-        (``"numpy"`` or ``"numba"``).
-    jit_calls / fallback_calls:
-        Compiled-tier accounting: kernel invocations served by the njit
-        kernels, and invocations that explicitly requested ``"numba"`` but
-        degraded to the numpy path.
-    fallback_reason:
-        Why the degradation happened (empty while no fallback occurred).
-    pairs_fused:
-        (query, cluster) pairs evaluated by the fused njit kernels.
+        :data:`MAX_KERNEL_BYTES` (up to one un-splittable cluster
+        row-range).
     """
 
     pairs_total: int = 0
@@ -107,47 +108,20 @@ class KernelTelemetry:
     rows_evaluated: int = 0
     tiles: int = 0
     max_tile_bytes: int = 0
-    backend: str = ""
-    jit_calls: int = 0
-    fallback_calls: int = 0
-    fallback_reason: str = ""
-    pairs_fused: int = 0
 
-    def reset(self) -> None:
-        """Restore every counter to its dataclass default."""
-        for name, spec in self.__dataclass_fields__.items():
-            setattr(self, name, spec.default)
-
-    def as_dict(self) -> dict[str, object]:
+    def as_dict(self) -> dict[str, int]:
         """Plain-dict form (for metric snapshots and benchmark records)."""
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
-    def merge_counts(self, counts: "Mapping[str, object]") -> None:
-        """Fold another collector's ``as_dict()`` into this one.
+    def merge_counts(self, counts: "Mapping[str, int]") -> None:
+        """Add another collector's ``as_dict()`` into this one.
 
-        Numeric counters add; the string fields (``backend``,
-        ``fallback_reason``) adopt the incoming value when set — the use
-        case is folding process-pool workers' telemetry into the parent's
-        collector, where the last worker to report wins the label exactly
-        as the last in-process kernel call would.
+        The use case is folding worker processes' telemetry into the
+        parent's collector.
         """
         for name, value in counts.items():
-            if name not in self.__dataclass_fields__:
-                continue
-            if isinstance(value, str):
-                if value:
-                    setattr(self, name, value)
-            else:
+            if name in self.__dataclass_fields__:
                 setattr(self, name, getattr(self, name) + value)
-
-    def _note_backend(self, backend: "KernelBackend") -> None:
-        """Record which backend served a kernel call (and why, on fallback)."""
-        self.backend = backend.name
-        if backend.compiled:
-            self.jit_calls += 1
-        elif backend.fallback_reason:
-            self.fallback_calls += 1
-            self.fallback_reason = backend.fallback_reason
 
 
 _telemetry: KernelTelemetry | None = None
@@ -174,7 +148,7 @@ def telemetry_active() -> bool:
     return _telemetry is not None
 
 
-def merge_active_telemetry(counts: "Mapping[str, object]") -> None:
+def merge_active_telemetry(counts: "Mapping[str, int]") -> None:
     """Fold remote counters into the live collector (no-op when inactive).
 
     This is how process-pool workers' kernel work — invisible to the
@@ -202,7 +176,7 @@ def _bounds_as(column: np.ndarray, lows: np.ndarray, highs: np.ndarray):
     )
 
 
-def _pair_tile_boundaries(lengths: np.ndarray, max_rows: int | None) -> np.ndarray:
+def _pair_tile_boundaries(lengths: np.ndarray, max_rows: int) -> np.ndarray:
     """Split a flat pair list into tiles of at most ``max_rows`` total rows.
 
     Returns tile boundary indices into the pair list (``[0, ..., n]``).
@@ -210,9 +184,9 @@ def _pair_tile_boundaries(lengths: np.ndarray, max_rows: int | None) -> np.ndarr
     budget still forms its own tile — pairs are never split.
     """
     count = int(lengths.size)
-    if max_rows is None or count <= 1 or int(lengths.sum()) <= max_rows:
+    if count <= 1 or int(lengths.sum()) <= max_rows:
         # Fast path: everything fits in one tile — skip the per-pair loop
-        # (the common case under the default 64 MiB budget).
+        # (the common case under the 64 MiB budget).
         return np.array([0, count], dtype=np.int64)
     boundaries = [0]
     running = 0
@@ -466,24 +440,21 @@ class ClusterLayout:
 
     # -- vectorised evaluation ---------------------------------------------
 
-    def row_masks(
-        self, batch: "QueryBatch", *, execution: ExecutionConfig | None = None
-    ) -> np.ndarray:
+    def row_masks(self, batch: "QueryBatch") -> np.ndarray:
         """Boolean ``(num_queries, num_rows)`` selection masks for a batch.
 
         One broadcast comparison per queried dimension per bound; dimensions a
         query does not constrain use open sentinel bounds and stay all-true.
         The result matrix is always fully materialised (it is the API), but
         the comparison temporaries are evaluated in query tiles sized to
-        ``execution.max_kernel_bytes``.
+        :data:`MAX_KERNEL_BYTES`.
         """
-        execution = execution or DEFAULT_EXECUTION
         num_queries = len(batch)
         masks = np.ones((num_queries, self.num_rows), dtype=bool)
         if self.num_rows == 0:
             return masks
         bounds = self._checked_bounds(batch)
-        query_tile = self._query_tile(num_queries, self.num_rows, execution, bounds)
+        query_tile = self._query_tile(num_queries)
         for start in range(0, num_queries, query_tile):
             stop = min(start + query_tile, num_queries)
             self._fill_masks(masks[start:stop], bounds, slice(start, stop))
@@ -512,195 +483,58 @@ class ClusterLayout:
             np.logical_and(out, column[None, :] >= lows[:, None], out=out)
             np.logical_and(out, column[None, :] <= highs[:, None], out=out)
 
-    @staticmethod
-    def _bytes_per_cell(bounds) -> int:
-        """Rough per-(query, row) temporary footprint of the dense kernel.
+    def _query_tile(self, num_queries: int) -> int:
+        """Queries per dense tile: as many full-row passes as the budget holds."""
+        cells = max(1, MAX_KERNEL_BYTES // _DENSE_BYTES_PER_CELL)
+        return int(min(num_queries, max(1, cells // self.num_rows)))
 
-        One byte for the running mask, one for the comparison temporary, and
-        eight for the int64 contributions row.
-        """
-        return 10
-
-    def _query_tile(
-        self,
-        num_queries: int,
-        num_rows: int,
-        execution: ExecutionConfig,
-        bounds,
-    ) -> int:
-        budget = execution.max_kernel_bytes
-        if budget is None or num_rows == 0:
-            return num_queries
-        cells = max(1, budget // self._bytes_per_cell(bounds))
-        return int(min(num_queries, max(1, cells // num_rows)))
-
-    def cluster_values(
-        self, batch: "QueryBatch", *, execution: ExecutionConfig | None = None
-    ) -> np.ndarray:
+    def cluster_values(self, batch: "QueryBatch") -> np.ndarray:
         """Exact ``Q(C)`` for every (query, cluster) pair — ``(nq, nc)`` int64.
 
-        The per-cluster primitive of the paper, vectorised.  With
-        ``execution.prune`` the query boxes are intersected with the zone
-        maps first: non-overlapping pairs are zero, fully covered pairs are
-        the precomputed segment sums, sorted straddlers bisect, and only the
-        remaining straddling pairs are row-evaluated (tiled under the
-        kernel memory budget).  All modes are bit-identical.
+        The per-cluster primitive of the paper, vectorised: the all-pairs
+        call into the same classify / bisect / row-scan routine that
+        :meth:`query_cluster_values` serves requested pairs with.
         """
-        execution = execution or DEFAULT_EXECUTION
         num_queries = len(batch)
         num_clusters = self.num_clusters
         if self.num_rows == 0:
             return np.zeros((num_queries, num_clusters), dtype=np.int64)
         bounds = self._checked_bounds(batch)
-        if not execution.prune:
-            return self._cluster_values_dense(bounds, num_queries, execution)
-        overlap, covered, covered_per_dim = self._classify_zones(bounds, num_queries)
-        result = np.where(covered, self.segment_sums[None, :], np.int64(0))
-        straddle = overlap & ~covered
-        telemetry = _telemetry
-        if telemetry is not None:
-            telemetry.pairs_total += num_queries * num_clusters
-            telemetry.pairs_covered += int(covered.sum())
-            telemetry.pairs_pruned += int((~overlap & ~covered).sum())
-        if not straddle.any():
-            return result
-        if execution.sorted_bisect:
-            self._bisect_into(bounds, covered_per_dim, straddle, result, execution)
-        pair_query, pair_positions = np.nonzero(straddle)
-        if pair_query.size:
-            values = self._pair_values(bounds, pair_query, pair_positions, execution)
-            result[pair_query, pair_positions] = values
-        return result
+        pair_query = np.repeat(np.arange(num_queries, dtype=np.int64), num_clusters)
+        pair_positions = np.tile(np.arange(num_clusters, dtype=np.int64), num_queries)
+        return self._evaluate_pairs(bounds, pair_query, pair_positions).reshape(
+            num_queries, num_clusters
+        )
 
-    def _classify_zones(self, bounds, num_queries: int):
-        """Zone-map classification of every (query, cluster) pair.
+    def cluster_values_dense(self, batch: "QueryBatch") -> np.ndarray:
+        """Test oracle for :meth:`cluster_values`: read every row for every query.
 
-        Returns ``(overlap, covered, covered_per_dim)`` boolean matrices of
-        shape ``(num_queries, num_clusters)``.  ``covered_per_dim`` is kept
-        per dimension so the bisection kernel can recognise pairs straddling
-        on exactly one (sorted) dimension.
+        No zone maps, no segment-sum short-circuit, no bisection — one
+        boolean mask per (query, row) and a segmented reduction, tiled under
+        :data:`MAX_KERNEL_BYTES` in query blocks × runs of whole segments.
+        Tests and the scale benchmark compare against it; the engine never
+        calls it.
         """
-        num_clusters = self.num_clusters
-        overlap = np.ones((num_queries, num_clusters), dtype=bool)
-        covered = np.ones((num_queries, num_clusters), dtype=bool)
-        covered_per_dim: dict[str, np.ndarray] = {}
-        for name, (lows, highs) in bounds.items():
-            zone_low = self.zone_min[name]
-            zone_high = self.zone_max[name]
-            overlap &= (zone_high >= lows[:, None]) & (zone_low <= highs[:, None])
-            covered_dim = (zone_low >= lows[:, None]) & (zone_high <= highs[:, None])
-            covered &= covered_dim
-            covered_per_dim[name] = covered_dim
-        return overlap, covered, covered_per_dim
-
-    def _bisect_segment_sums(
-        self,
-        name: str,
-        lows: np.ndarray,
-        highs: np.ndarray,
-        pair_query: np.ndarray,
-        pair_positions: np.ndarray,
-        execution: ExecutionConfig,
-    ) -> np.ndarray:
-        """Exact per-pair sums via binary search over a sorted dimension.
-
-        For each (query, cluster) pair, two binary searches over the
-        cluster's sorted segment of ``name`` locate the matching row range
-        and the measure prefix difference gives its exact sum.  The numba
-        backend runs every pair's searches inside one njit call; the numpy
-        path is a per-pair ``np.searchsorted`` loop.
-        """
-        column = self.columns[name]
-        prefix = self.measure_prefix
-        backend = resolve_backend(execution.kernel_backend)
-        if _telemetry is not None:
-            _telemetry.pairs_bisected += int(pair_query.size)
-            _telemetry._note_backend(backend)
-        if backend.compiled:
-            values = np.empty(pair_query.size, dtype=np.int64)
-            pair_lows, pair_highs = _bounds_as(
-                column, lows[pair_query], highs[pair_query]
-            )
-            numba_kernels().bisect_pair_sums(
-                column,
-                prefix,
-                self.starts[pair_positions],
-                self.cluster_rows[pair_positions],
-                np.ascontiguousarray(pair_lows),
-                np.ascontiguousarray(pair_highs),
-                values,
-            )
-            return values
-        values = np.empty(pair_query.size, dtype=np.int64)
-        for slot, (query, position) in enumerate(
-            zip(pair_query.tolist(), pair_positions.tolist())
-        ):
-            start = int(self.starts[position])
-            stop = start + int(self.cluster_rows[position])
-            segment = column[start:stop]
-            low_row = start + int(np.searchsorted(segment, lows[query], side="left"))
-            high_row = start + int(np.searchsorted(segment, highs[query], side="right"))
-            values[slot] = prefix[high_row] - prefix[low_row]
-        return values
-
-    def _bisect_into(
-        self,
-        bounds,
-        covered_per_dim: Mapping[str, np.ndarray],
-        straddle: np.ndarray,
-        result: np.ndarray,
-        execution: ExecutionConfig,
-    ) -> None:
-        """Answer straddling pairs sorted on their only straddling dimension.
-
-        A pair is eligible for dimension ``d`` when the cluster is sorted on
-        ``d`` and fully covered on every *other* constrained dimension — the
-        row predicate then reduces to the ``d`` range, so two binary
-        searches over the segment plus a measure-prefix difference give the
-        exact sum.  Eligible pairs are cleared from ``straddle``.
-        """
-        for name in bounds:
-            if name not in self.sorted_dimensions:
-                continue
-            eligible = straddle.copy()
-            for other, covered_dim in covered_per_dim.items():
-                if other != name:
-                    eligible &= covered_dim
-            if not eligible.any():
-                continue
-            lows, highs = bounds[name]
-            pair_query, pair_positions = np.nonzero(eligible)
-            result[pair_query, pair_positions] = self._bisect_segment_sums(
-                name, lows, highs, pair_query, pair_positions, execution
-            )
-            straddle &= ~eligible
-            if not straddle.any():
-                return
-
-    def _cluster_values_dense(
-        self, bounds, num_queries: int, execution: ExecutionConfig
-    ) -> np.ndarray:
-        """Dense reference kernel, tiled to the kernel memory budget."""
+        num_queries = len(batch)
         num_rows = self.num_rows
         num_clusters = self.num_clusters
+        result = np.zeros((num_queries, num_clusters), dtype=np.int64)
+        if num_rows == 0:
+            return result
+        bounds = self._checked_bounds(batch)
         nonempty = self.cluster_rows > 0
         telemetry = _telemetry
-        result = np.zeros((num_queries, num_clusters), dtype=np.int64)
-        cells = None
-        budget = execution.max_kernel_bytes
-        if budget is not None:
-            cells = max(1, budget // self._bytes_per_cell(bounds))
-        query_tile = self._query_tile(num_queries, num_rows, execution, bounds)
-        # Row chunks: runs of whole segments.  With no budget (or one large
-        # enough) a single chunk covers every row; a single segment larger
-        # than the budget still forms its own chunk — segments are never
-        # split, so the hard peak is one segment's rows per query row.
-        chunk_rows = num_rows if cells is None else max(1, cells // query_tile)
-        chunk_bounds = self._segment_chunks(chunk_rows)
+        query_tile = self._query_tile(num_queries)
+        # A single segment larger than the budget still forms its own chunk —
+        # segments are never split, so the segmented reduction stays one
+        # ``reduceat`` per chunk and the hard peak is one segment's rows per
+        # query row.
+        cells = max(1, MAX_KERNEL_BYTES // _DENSE_BYTES_PER_CELL)
+        chunks = _pair_tile_boundaries(self.cluster_rows, max(1, cells // query_tile))
         for q_start in range(0, num_queries, query_tile):
             q_stop = min(q_start + query_tile, num_queries)
             query_slice = slice(q_start, q_stop)
-            for c_start, c_stop in chunk_bounds:
+            for c_start, c_stop in zip(chunks[:-1].tolist(), chunks[1:].tolist()):
                 row_start = int(self.starts[c_start])
                 row_stop = (
                     num_rows
@@ -723,101 +557,88 @@ class ClusterLayout:
                     telemetry.tiles += 1
                     telemetry.rows_evaluated += masks.size
                     telemetry.max_tile_bytes = max(
-                        telemetry.max_tile_bytes,
-                        masks.size * self._bytes_per_cell(bounds),
+                        telemetry.max_tile_bytes, masks.size * _DENSE_BYTES_PER_CELL
                     )
         return result
-
-    def _segment_chunks(self, chunk_rows: int) -> list[tuple[int, int]]:
-        """Consecutive segment runs totalling at most ``chunk_rows`` rows each.
-
-        Every chunk holds at least one segment; a single segment longer than
-        ``chunk_rows`` forms its own chunk (segments are never split so the
-        segmented reduction stays one ``reduceat`` per chunk).
-        """
-        boundaries = _pair_tile_boundaries(
-            self.cluster_rows, None if chunk_rows >= self.num_rows else chunk_rows
-        )
-        return [
-            (int(boundaries[index]), int(boundaries[index + 1]))
-            for index in range(boundaries.size - 1)
-        ]
 
     def query_cluster_values(
         self,
         batch: "QueryBatch",
         positions_per_query: Sequence[np.ndarray],
-        *,
-        execution: ExecutionConfig | None = None,
     ) -> list[np.ndarray]:
         """Exact ``Q(C)`` for each query's own cluster positions, in one pass.
 
         Unlike :meth:`cluster_values`, which evaluates every query against
         every cluster of the layout, this kernel touches exactly the
-        (query, cluster) pairs requested.  With ``execution.prune`` each
-        requested pair is first classified against the zone maps (skip /
-        segment-sum / bisect), so only genuinely straddling pairs reach the
-        row kernel; the row kernel expands per-query bounds to per-row
-        bounds with ``np.repeat`` and serves all pairs with boolean masks
-        plus one segmented reduction per tile.
+        (query, cluster) pairs requested.
         """
-        execution = execution or DEFAULT_EXECUTION
         num_queries = len(batch)
         if len(positions_per_query) != num_queries:
             raise StorageError("positions_per_query must align with the batch")
         pair_counts = np.array([len(p) for p in positions_per_query], dtype=np.int64)
-        total_pairs = int(pair_counts.sum())
-        if total_pairs == 0:
+        if int(pair_counts.sum()) == 0:
             return [np.zeros(0, dtype=np.int64) for _ in range(num_queries)]
-        bounds = self._checked_bounds(batch)
-        pair_query = np.repeat(np.arange(num_queries, dtype=np.int64), pair_counts)
         pair_positions = np.concatenate(
             [np.asarray(p, dtype=np.int64) for p in positions_per_query]
         )
-        telemetry = _telemetry
-        if not execution.prune:
-            pair_values = self._pair_values(bounds, pair_query, pair_positions, execution)
-        else:
-            overlap = np.ones(total_pairs, dtype=bool)
-            covered = np.ones(total_pairs, dtype=bool)
-            covered_per_dim: dict[str, np.ndarray] = {}
-            for name, (lows, highs) in bounds.items():
-                zone_low = self.zone_min[name][pair_positions]
-                zone_high = self.zone_max[name][pair_positions]
-                query_lows = lows[pair_query]
-                query_highs = highs[pair_query]
-                overlap &= (zone_high >= query_lows) & (zone_low <= query_highs)
-                covered_dim = (zone_low >= query_lows) & (zone_high <= query_highs)
-                covered &= covered_dim
-                covered_per_dim[name] = covered_dim
-            pair_values = np.zeros(total_pairs, dtype=np.int64)
-            pair_values[covered] = self.segment_sums[pair_positions[covered]]
-            straddle = overlap & ~covered
-            if telemetry is not None:
-                telemetry.pairs_total += total_pairs
-                telemetry.pairs_covered += int(covered.sum())
-                telemetry.pairs_pruned += int((~overlap & ~covered).sum())
-            if execution.sorted_bisect and straddle.any():
-                self._bisect_pairs(
-                    bounds,
-                    covered_per_dim,
-                    straddle,
-                    pair_query,
-                    pair_positions,
-                    pair_values,
-                    execution,
-                )
-            remaining = np.flatnonzero(straddle)
-            if remaining.size:
-                pair_values[remaining] = self._pair_values(
-                    bounds, pair_query[remaining], pair_positions[remaining], execution
-                )
+        if pair_positions.min() < 0 or pair_positions.max() >= self.num_clusters:
+            raise StorageError(
+                f"cluster positions must be in [0, {self.num_clusters}), got "
+                f"[{int(pair_positions.min())}, {int(pair_positions.max())}]"
+            )
+        bounds = self._checked_bounds(batch)
+        pair_query = np.repeat(np.arange(num_queries, dtype=np.int64), pair_counts)
+        pair_values = self._evaluate_pairs(bounds, pair_query, pair_positions)
         boundaries = np.zeros(num_queries + 1, dtype=np.int64)
         np.cumsum(pair_counts, out=boundaries[1:])
         return [
             pair_values[boundaries[index] : boundaries[index + 1]]
             for index in range(num_queries)
         ]
+
+    def _evaluate_pairs(
+        self, bounds, pair_query: np.ndarray, pair_positions: np.ndarray
+    ) -> np.ndarray:
+        """Exact ``Q(C)`` of a flat (query, cluster) pair list — the one path.
+
+        Each pair is first classified against the zone maps: a pair whose
+        boxes cannot overlap is zero, a cluster fully inside the query box is
+        its precomputed segment sum — no row is touched in either case.  Of
+        the straddling rest, pairs whose only straddling dimension is sorted
+        inside the segment bisect, and only what remains is row-evaluated.
+        """
+        total_pairs = int(pair_query.size)
+        overlap = np.ones(total_pairs, dtype=bool)
+        covered = np.ones(total_pairs, dtype=bool)
+        # Kept per dimension so the bisection step can recognise pairs
+        # straddling on exactly one (sorted) dimension.
+        covered_per_dim: dict[str, np.ndarray] = {}
+        for name, (lows, highs) in bounds.items():
+            zone_low = self.zone_min[name][pair_positions]
+            zone_high = self.zone_max[name][pair_positions]
+            query_lows = lows[pair_query]
+            query_highs = highs[pair_query]
+            overlap &= (zone_high >= query_lows) & (zone_low <= query_highs)
+            covered_dim = (zone_low >= query_lows) & (zone_high <= query_highs)
+            covered &= covered_dim
+            covered_per_dim[name] = covered_dim
+        pair_values = np.zeros(total_pairs, dtype=np.int64)
+        pair_values[covered] = self.segment_sums[pair_positions[covered]]
+        straddle = overlap & ~covered
+        if _telemetry is not None:
+            _telemetry.pairs_total += total_pairs
+            _telemetry.pairs_covered += int(covered.sum())
+            _telemetry.pairs_pruned += int((~overlap & ~covered).sum())
+        if straddle.any():
+            self._bisect_pairs(
+                bounds, covered_per_dim, straddle, pair_query, pair_positions, pair_values
+            )
+        remaining = np.flatnonzero(straddle)
+        if remaining.size:
+            pair_values[remaining] = self._pair_values(
+                bounds, pair_query[remaining], pair_positions[remaining]
+            )
+        return pair_values
 
     def _bisect_pairs(
         self,
@@ -827,9 +648,16 @@ class ClusterLayout:
         pair_query: np.ndarray,
         pair_positions: np.ndarray,
         pair_values: np.ndarray,
-        execution: ExecutionConfig,
     ) -> None:
-        """Flat-pair form of :meth:`_bisect_into` (same eligibility rule)."""
+        """Answer straddling pairs sorted on their only straddling dimension.
+
+        A pair is eligible for dimension ``d`` when the layout is sorted on
+        ``d`` and the cluster is fully covered on every *other* constrained
+        dimension — the row predicate then reduces to the ``d`` range, so two
+        binary searches over the segment plus a measure-prefix difference
+        give the exact sum.  Eligible pairs are cleared from ``straddle``.
+        """
+        prefix = self.measure_prefix
         for name in bounds:
             if name not in self.sorted_dimensions:
                 continue
@@ -840,60 +668,41 @@ class ClusterLayout:
             if not eligible.any():
                 continue
             lows, highs = bounds[name]
+            column = self.columns[name]
             indices = np.flatnonzero(eligible)
-            pair_values[indices] = self._bisect_segment_sums(
-                name, lows, highs, pair_query[indices], pair_positions[indices], execution
-            )
+            values = np.empty(indices.size, dtype=np.int64)
+            for slot, (query, position) in enumerate(
+                zip(pair_query[indices].tolist(), pair_positions[indices].tolist())
+            ):
+                start = int(self.starts[position])
+                segment = column[start : start + int(self.cluster_rows[position])]
+                low_row = start + int(np.searchsorted(segment, lows[query], side="left"))
+                high_row = start + int(np.searchsorted(segment, highs[query], side="right"))
+                values[slot] = prefix[high_row] - prefix[low_row]
+            pair_values[indices] = values
+            if _telemetry is not None:
+                _telemetry.pairs_bisected += int(indices.size)
             straddle &= ~eligible
             if not straddle.any():
                 return
 
     def _pair_values(
-        self,
-        bounds,
-        pair_query: np.ndarray,
-        pair_positions: np.ndarray,
-        execution: ExecutionConfig,
+        self, bounds, pair_query: np.ndarray, pair_positions: np.ndarray
     ) -> np.ndarray:
         """Row-evaluate arbitrary (query, cluster) pairs, tiled to the budget.
 
-        The flattened kernel, in the backend selected by
-        ``execution.kernel_backend``:
-
-        * **numpy** — per-query bounds are expanded to per-row bounds with
-          ``np.repeat``, one boolean-mask pass plus one ``np.add.reduceat``
-          serves every pair of a tile;
-        * **numba** — the fused njit kernels walk each pair's segment in
-          place (:func:`~repro.storage._kernels_numba.and_range_mask` per
-          constrained dimension, then one
-          :func:`~repro.storage._kernels_numba.masked_segment_sums` pass);
-          the only temporary is a single byte-mask buffer reused across
-          tiles, so the per-row footprint drops from ~17+ bytes to 1.
-
-        Either way total work equals the sum of the requested cluster sizes
-        — the same rows a per-query loop would scan — and the results are
-        bit-identical (integer sums are exact under any order).
+        Per-query bounds are expanded to per-row bounds with ``np.repeat``;
+        one boolean-mask pass plus one ``np.add.reduceat`` serves every pair
+        of a tile.  Total work equals the sum of the requested cluster sizes
+        — the same rows a per-query loop would scan.
         """
         lengths = self.cluster_rows[pair_positions]
-        num_pairs = int(lengths.size)
-        values = np.zeros(num_pairs, dtype=np.int64)
-        backend = resolve_backend(execution.kernel_backend)
-        bytes_per_row = self._bytes_per_pair_row(bounds, compiled=backend.compiled)
-        max_rows = None
-        if execution.max_kernel_bytes is not None:
-            max_rows = max(1, execution.max_kernel_bytes // bytes_per_row)
+        values = np.zeros(lengths.size, dtype=np.int64)
+        bytes_per_row = self._bytes_per_pair_row(bounds)
         telemetry = _telemetry
-        if telemetry is not None:
-            telemetry._note_backend(backend)
-        tile_bounds = _pair_tile_boundaries(lengths, max_rows)
-        mask_buffer: np.ndarray | None = None
-        if backend.compiled:
-            # One reusable byte mask sized to the largest tile — the numba
-            # kernels allocate nothing per call.
-            prefix = np.zeros(num_pairs + 1, dtype=np.int64)
-            np.cumsum(lengths, out=prefix[1:])
-            largest = int((prefix[tile_bounds[1:]] - prefix[tile_bounds[:-1]]).max())
-            mask_buffer = np.empty(max(largest, 1), dtype=np.uint8)
+        tile_bounds = _pair_tile_boundaries(
+            lengths, max(1, MAX_KERNEL_BYTES // bytes_per_row)
+        )
         for tile_index in range(tile_bounds.size - 1):
             tile = slice(int(tile_bounds[tile_index]), int(tile_bounds[tile_index + 1]))
             tile_lengths = lengths[tile]
@@ -902,87 +711,46 @@ class ClusterLayout:
                 continue
             tile_positions = pair_positions[tile]
             tile_queries = pair_query[tile]
-            if backend.compiled:
-                values[tile] = self._pair_values_compiled(
-                    bounds, tile_queries, tile_positions, tile_lengths, total, mask_buffer
-                )
-                tile_nonempty = tile_lengths > 0
-            else:
-                offsets = np.zeros(tile_lengths.size, dtype=np.int64)
-                np.cumsum(tile_lengths[:-1], out=offsets[1:])
-                rows = (
-                    np.repeat(self.starts[tile_positions] - offsets, tile_lengths)
-                    + np.arange(total, dtype=np.int64)
-                )
-                mask = np.ones(total, dtype=bool)
-                for name, (lows, highs) in bounds.items():
-                    column = self.columns[name][rows]
-                    dim_lows, dim_highs = _bounds_as(column, lows, highs)
-                    row_lows = np.repeat(dim_lows[tile_queries], tile_lengths)
-                    row_highs = np.repeat(dim_highs[tile_queries], tile_lengths)
-                    np.logical_and(mask, column >= row_lows, out=mask)
-                    np.logical_and(mask, column <= row_highs, out=mask)
-                contributions = self.measure[rows] * mask
-                # reduceat over non-empty pair offsets only: zero-length pairs
-                # keep their zero and never reach the ufunc (which would
-                # otherwise return the element at the segment start).
-                tile_nonempty = tile_lengths > 0
-                red_offsets = offsets[tile_nonempty]
-                tile_values = np.zeros(tile_lengths.size, dtype=np.int64)
-                if red_offsets.size:
-                    tile_values[tile_nonempty] = np.add.reduceat(contributions, red_offsets)
-                values[tile] = tile_values
+            offsets = np.zeros(tile_lengths.size, dtype=np.int64)
+            np.cumsum(tile_lengths[:-1], out=offsets[1:])
+            rows = (
+                np.repeat(self.starts[tile_positions] - offsets, tile_lengths)
+                + np.arange(total, dtype=np.int64)
+            )
+            mask = np.ones(total, dtype=bool)
+            for name, (lows, highs) in bounds.items():
+                column = self.columns[name][rows]
+                dim_lows, dim_highs = _bounds_as(column, lows, highs)
+                row_lows = np.repeat(dim_lows[tile_queries], tile_lengths)
+                row_highs = np.repeat(dim_highs[tile_queries], tile_lengths)
+                np.logical_and(mask, column >= row_lows, out=mask)
+                np.logical_and(mask, column <= row_highs, out=mask)
+            contributions = self.measure[rows] * mask
+            # reduceat over non-empty pair offsets only: zero-length pairs
+            # keep their zero and never reach the ufunc (which would
+            # otherwise return the element at the segment start).
+            tile_nonempty = tile_lengths > 0
+            red_offsets = offsets[tile_nonempty]
+            tile_values = np.zeros(tile_lengths.size, dtype=np.int64)
+            if red_offsets.size:
+                tile_values[tile_nonempty] = np.add.reduceat(contributions, red_offsets)
+            values[tile] = tile_values
             if telemetry is not None:
                 telemetry.tiles += 1
                 telemetry.rows_evaluated += total
                 telemetry.pairs_scanned += int(tile_nonempty.sum())
-                if backend.compiled:
-                    telemetry.pairs_fused += int(tile_nonempty.sum())
                 telemetry.max_tile_bytes = max(
                     telemetry.max_tile_bytes, total * bytes_per_row
                 )
         return values
 
-    def _pair_values_compiled(
-        self,
-        bounds,
-        tile_queries: np.ndarray,
-        tile_positions: np.ndarray,
-        tile_lengths: np.ndarray,
-        total: int,
-        mask_buffer: np.ndarray,
-    ) -> np.ndarray:
-        """One fused-kernel evaluation of a tile of (query, cluster) pairs."""
-        kernels = numba_kernels()
-        seg_starts = np.ascontiguousarray(self.starts[tile_positions])
-        seg_lengths = np.ascontiguousarray(tile_lengths)
-        mask = mask_buffer[:total]
-        mask[:] = 1
-        for name, (lows, highs) in bounds.items():
-            column = self.columns[name]
-            dim_lows, dim_highs = _bounds_as(column, lows, highs)
-            kernels.and_range_mask(
-                column,
-                seg_starts,
-                seg_lengths,
-                np.ascontiguousarray(dim_lows[tile_queries]),
-                np.ascontiguousarray(dim_highs[tile_queries]),
-                mask,
-            )
-        tile_values = np.zeros(tile_lengths.size, dtype=np.int64)
-        kernels.masked_segment_sums(self.measure, seg_starts, seg_lengths, mask, tile_values)
-        return tile_values
-
-    def _bytes_per_pair_row(self, bounds, *, compiled: bool = False) -> int:
+    def _bytes_per_pair_row(self, bounds) -> int:
         """Per-row temporary footprint estimate of the flattened pair kernel.
 
-        numpy path: row index (8) + mask (1) + int64 contributions (8) + per
-        constrained dimension a gathered column copy, two repeated bound
-        rows, and a comparison temporary.  The fused njit path touches only
-        the shared byte mask — 1 byte per row regardless of dimensions.
+        Row index (8) + mask (1) + int64 contributions (8) + per constrained
+        dimension a gathered column copy, two repeated bound rows, and a
+        comparison temporary.
         """
-        if compiled:
-            return 1
         per_dim = 0
         for name in bounds:
             itemsize = int(self.columns[name].itemsize)

@@ -48,13 +48,12 @@ class QueryCostStats:
     touches no rows.  A cluster whose zone box lies fully inside the query
     box is *covered* (its contribution is known from metadata proportions
     alone); an overlapping-but-not-covered cluster is a *straddler*, whose
-    rows are the ones a pruned executor actually has to inspect.
+    rows are the ones the executor actually has to inspect.
     """
 
     clusters_touched: int
     clusters_covered: int
     straddler_rows: int
-    covered_rows: int
 
     @property
     def clusters_straddling(self) -> int:
@@ -399,7 +398,6 @@ class MetadataStore:
                     clusters_touched=int(len(positions)),
                     clusters_covered=int(covered_mask.sum()),
                     straddler_rows=total_rows - covered_rows,
-                    covered_rows=covered_rows,
                 )
             )
         return stats

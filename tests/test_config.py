@@ -7,7 +7,6 @@ import math
 import pytest
 
 from repro.config import (
-    ExecutionConfig,
     NetworkConfig,
     PrivacyConfig,
     SamplingConfig,
@@ -98,27 +97,6 @@ class TestSMCConfig:
     def test_rejects_fraction_bits_wider_than_field(self):
         with pytest.raises(ConfigurationError):
             SMCConfig(field_bits=16, fixed_point_fraction_bits=20)
-
-
-class TestExecutionConfig:
-    def test_defaults(self):
-        config = ExecutionConfig()
-        assert config.prune and config.sorted_bisect
-        assert config.max_kernel_bytes == 64 * 2**20
-
-    def test_dense_reference(self):
-        dense = ExecutionConfig.dense()
-        assert not dense.prune and not dense.sorted_bisect
-        assert dense.max_kernel_bytes is None
-
-    def test_with_max_kernel_bytes(self):
-        config = ExecutionConfig().with_max_kernel_bytes(None)
-        assert config.max_kernel_bytes is None
-        assert config.prune  # other knobs preserved
-
-    def test_rejects_degenerate_budget(self):
-        with pytest.raises(ConfigurationError):
-            ExecutionConfig(max_kernel_bytes=100)
 
 
 class TestSystemConfig:

@@ -6,10 +6,10 @@ Three layers under test:
   zone-map-derived covered-vs-straddler statistics, checked against a
   brute-force pass over the global metadata entries (dense and scalar
   paths must agree with it and with each other).
-* :class:`~repro.service.costmodel.CostModel` — unit totals respect the
-  execution backend (a pruning executor pays straddler rows only, a
-  non-pruning one every covering row) and the EWMA calibration converges
-  toward observed chunk timings while recording prediction error.
+* :class:`~repro.service.costmodel.CostModel` — unit totals follow the
+  structural statistics (the executor pays straddler rows only) and the
+  EWMA calibration converges toward observed chunk timings while recording
+  prediction error.
 * :func:`~repro.federation.partitioning.work_balanced_chunks` — greedy
   order-preserving packing: budget respected, nothing dropped or
   reordered, oversized items isolated, equal costs degenerate to count
@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.config import ExecutionConfig, SystemConfig
+from repro.config import SystemConfig
 from repro.core.system import FederatedAQPSystem
 from repro.errors import FederationError
 from repro.federation.partitioning import work_balanced_chunks
@@ -47,7 +47,7 @@ WORKLOAD = [
 
 def _brute_force_stats(metadata, ranges):
     """Covered/straddler split straight from the global entries."""
-    touched = covered = straddler_rows = covered_rows = 0
+    touched = covered = straddler_rows = 0
     for entry in metadata.global_entries:
         if entry.num_rows == 0 or not entry.overlaps(ranges):
             continue
@@ -59,24 +59,20 @@ def _brute_force_stats(metadata, ranges):
         )
         if inside:
             covered += 1
-            covered_rows += entry.num_rows
         else:
             straddler_rows += entry.num_rows
-    return touched, covered, straddler_rows, covered_rows
+    return touched, covered, straddler_rows
 
 
 def test_cost_stats_batch_matches_brute_force(metadata):
     stats = metadata.cost_stats_batch(WORKLOAD)
     assert len(stats) == len(WORKLOAD)
     for ranges, stat in zip(WORKLOAD, stats):
-        touched, covered, straddler_rows, covered_rows = _brute_force_stats(
-            metadata, ranges
-        )
+        touched, covered, straddler_rows = _brute_force_stats(metadata, ranges)
         assert stat.clusters_touched == touched
         assert stat.clusters_covered == covered
         assert stat.clusters_straddling == touched - covered
         assert stat.straddler_rows == straddler_rows
-        assert stat.covered_rows == covered_rows
 
 
 def test_cost_stats_scalar_path_agrees_with_dense(metadata):
@@ -90,7 +86,7 @@ def test_cost_stats_empty_workload(metadata):
     assert metadata.cost_stats_batch([]) == []
 
 
-def _small_system(execution: ExecutionConfig | None = None) -> FederatedAQPSystem:
+def _small_system() -> FederatedAQPSystem:
     rng = np.random.default_rng(42)
     schema = Schema((Dimension("age", 0, 99), Dimension("hours", 0, 49)))
     table = Table(
@@ -98,8 +94,6 @@ def _small_system(execution: ExecutionConfig | None = None) -> FederatedAQPSyste
         {"age": rng.integers(0, 100, 1600), "hours": rng.integers(0, 50, 1600)},
     )
     config = SystemConfig(cluster_size=100, num_providers=2, seed=3)
-    if execution is not None:
-        config = config.with_execution(execution)
     return FederatedAQPSystem.from_table(table, config=config)
 
 
@@ -118,18 +112,6 @@ def test_cost_model_units_follow_structural_stats():
         )
     assert estimate.units == pytest.approx(expected)
     assert estimate.clusters_touched > 0
-
-
-def test_cost_model_backend_changes_row_volume():
-    # A non-pruning executor scans covered clusters row by row: its
-    # estimate must charge covered rows too, not just straddlers.
-    pruned = CostModel(_small_system())
-    full = CostModel(_small_system(ExecutionConfig.dense()))
-    query = RangeQuery.count({"age": (0, 99)})  # wide: many covered clusters
-    (cheap,) = pruned.estimate([query])
-    (expensive,) = full.estimate([query])
-    assert cheap.clusters_covered > 0
-    assert expensive.units > cheap.units
 
 
 def test_cost_model_layout_signature_tracks_ingest_and_compaction():

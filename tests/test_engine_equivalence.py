@@ -1,34 +1,38 @@
-"""Engine-mode equivalence: pruned/sorted/tiled/process ≡ dense, bit for bit.
+"""Engine equivalence: production ≡ dense oracle ≡ per-row brute force, bit for bit.
 
-The execution engine has one semantic (exact integer ``Q(C)``) and many
-execution modes — dense scans, zone-map pruning, sorted-layout bisection,
-memory-bounded tiling, thread and process provider fan-out.  Integer sums
-are exact under any evaluation order, so every mode must return *identical*
-results; this module sweeps randomized tables and workloads asserting
-exactly that, plus the regressions for empty clusters and ``gather``.
+The execution engine has one semantic (exact integer ``Q(C)``) and one
+production path — zone-map classify, covered segment sum, sorted bisection,
+tiled row scan.  Integer sums are exact under any evaluation order, so that
+path must return *identical* results to the dense oracle
+(``ClusterLayout.cluster_values_dense``) and to a Python loop over every
+row, at any tile budget, on every layout family; the carriers (loopback,
+socket, worker process, shards) must not change a bit either.  This module
+sweeps randomized tables and workloads asserting exactly that, plus the
+regressions for empty clusters and ``gather``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.config import (
-    DENSE_EXECUTION,
     CacheConfig,
-    ExecutionConfig,
     IngestConfig,
     SamplingConfig,
     SystemConfig,
     TransportConfig,
 )
 from repro.core.system import FederatedAQPSystem
+from repro.errors import StorageError
 from repro.query.batch import QueryBatch
 from repro.query.executor import ExactExecutor, execute_on_cluster
 from repro.query.model import RangeQuery
+from repro.storage import layout as layout_module
 from repro.storage.cluster import Cluster
 from repro.storage.clustered_table import ClusteredTable
-from repro.storage.kernels import numba_available
 from repro.storage.layout import collect_kernel_telemetry
 from repro.storage.metadata import build_metadata
 from repro.storage.schema import Dimension, Schema
@@ -42,21 +46,21 @@ SCHEMA = Schema(
     )
 )
 
-EXECUTION_MODES = {
-    "pruned": ExecutionConfig(prune=True, sorted_bisect=False),
-    "pruned+sorted": ExecutionConfig(prune=True, sorted_bisect=True),
-    "tiled-tiny": ExecutionConfig(prune=False, sorted_bisect=False, max_kernel_bytes=4096),
-    "pruned+sorted+tiled-tiny": ExecutionConfig(
-        prune=True, sorted_bisect=True, max_kernel_bytes=4096
-    ),
-}
-# Kernel-backend axis: every mode again under each explicit backend.  An
-# explicit "numba" request degrades (loudly, once) to the numpy kernels when
-# numba is not installed, so the sweep is meaningful on both CI legs — with
-# numba it exercises the compiled tier, without it the fallback path.
-for _backend in ("numpy", "numba"):
-    for _name, _execution in list(EXECUTION_MODES.items()):
-        EXECUTION_MODES[f"{_name}@{_backend}"] = _execution.with_kernel_backend(_backend)
+# Same shape with a key domain past int32, so the layout keeps the column
+# int64 and the kernels compare unnarrowed bounds.
+WIDE_SCALE = 2**33
+WIDE_SCHEMA = Schema(
+    (
+        Dimension("key", 0, 1000 * WIDE_SCALE),
+        Dimension("aux", 0, 49),
+        Dimension("cat", 0, 9),
+    )
+)
+
+# Tile budgets the sweep runs under: small enough that every row kernel
+# splits its work into many tiles, and the production constant.
+TINY_BUDGET = 4096
+BUDGETS = (TINY_BUDGET, layout_module.MAX_KERNEL_BYTES)
 
 
 def _random_table(rng: np.random.Generator, num_rows: int) -> Table:
@@ -88,55 +92,6 @@ def _random_workload(rng: np.random.Generator, count: int) -> list[RangeQuery]:
     return queries
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("policy", ["sequential", "sorted"])
-def test_all_kernel_modes_match_dense(seed, policy):
-    rng = np.random.default_rng(seed)
-    table = _random_table(rng, int(rng.integers(500, 4000)))
-    clustered = ClusteredTable.from_table(
-        table, cluster_size=int(rng.integers(50, 400)), policy=policy
-    )
-    layout = clustered.layout()
-    batch = QueryBatch(tuple(_random_workload(rng, 12)))
-
-    dense = layout.cluster_values(batch, execution=DENSE_EXECUTION)
-    for mode, execution in EXECUTION_MODES.items():
-        values = layout.cluster_values(batch, execution=execution)
-        assert np.array_equal(values, dense), mode
-
-    positions = [
-        np.sort(
-            rng.choice(
-                layout.num_clusters,
-                size=int(rng.integers(0, layout.num_clusters + 1)),
-                replace=False,
-            )
-        ).astype(np.int64)
-        for _ in batch
-    ]
-    reference = layout.query_cluster_values(batch, positions, execution=DENSE_EXECUTION)
-    for mode, execution in EXECUTION_MODES.items():
-        values = layout.query_cluster_values(batch, positions, execution=execution)
-        for expected, got in zip(reference, values):
-            assert np.array_equal(expected, got), mode
-
-    masks = layout.row_masks(batch, execution=DENSE_EXECUTION)
-    tiled = layout.row_masks(batch, execution=EXECUTION_MODES["tiled-tiny"])
-    assert np.array_equal(masks, tiled)
-
-
-def test_dense_matches_per_cluster_loop():
-    rng = np.random.default_rng(7)
-    table = _random_table(rng, 1500)
-    clustered = ClusteredTable.from_table(table, cluster_size=128)
-    layout = clustered.layout()
-    queries = _random_workload(rng, 6)
-    matrix = layout.cluster_values(QueryBatch(tuple(queries)), execution=DENSE_EXECUTION)
-    for index, query in enumerate(queries):
-        expected = [execute_on_cluster(cluster, query) for cluster in clustered]
-        assert matrix[index].tolist() == expected
-
-
 def _clustered_with_empty_segments() -> ClusteredTable:
     """Clusters where positions 1 and 4 (the tail) hold zero rows."""
     rng = np.random.default_rng(11)
@@ -148,12 +103,171 @@ def _clustered_with_empty_segments() -> ClusteredTable:
     return ClusteredTable(clusters=clusters, cluster_size=200)
 
 
-def test_empty_segments_all_modes():
+def _widened(table: Table, queries: list[RangeQuery]):
+    """The same rows and boxes with ``key`` scaled past the int32 range."""
+    columns = {name: table.column(name) for name in SCHEMA.dimension_names}
+    columns["key"] = columns["key"] * WIDE_SCALE
+    scaled = []
+    for query in queries:
+        ranges = query.range_tuples()
+        low, high = ranges["key"]
+        ranges["key"] = (low * WIDE_SCALE, high * WIDE_SCALE)
+        scaled.append(RangeQuery.count(ranges))
+    return Table(WIDE_SCHEMA, columns), scaled
+
+
+def _layout_family(family: str, rng: np.random.Generator):
+    """One (clustered table, workload) of the named layout family."""
+    table = _random_table(rng, int(rng.integers(500, 4000)))
+    cluster_size = int(rng.integers(50, 400))
+    queries = _random_workload(rng, 12)
+    if family == "empty-segments":
+        return _clustered_with_empty_segments(), queries
+    if family == "int64-wide":
+        table, queries = _widened(table, queries)
+        return ClusteredTable.from_table(table, cluster_size), queries
+    if family == "intra-sort":
+        return ClusteredTable.from_table(table, cluster_size, intra_sort_by="key"), queries
+    return ClusteredTable.from_table(table, cluster_size, policy=family), queries
+
+
+def _brute_force(layout, queries) -> tuple[np.ndarray, np.ndarray]:
+    """``(row masks, Q(C))`` by a Python loop over every row of every query.
+
+    No NumPy comparison, no zone map, no reduction: the reference the
+    production path and the dense oracle are both held against.
+    """
+    columns = {name: column.tolist() for name, column in layout.columns.items()}
+    measure = layout.measure.tolist()
+    masks = np.zeros((len(queries), layout.num_rows), dtype=bool)
+    values = np.zeros((len(queries), layout.num_clusters), dtype=np.int64)
+    for index, query in enumerate(queries):
+        ranges = query.range_tuples()
+        for position in range(layout.num_clusters):
+            start = int(layout.starts[position])
+            total = 0
+            for row in range(start, start + int(layout.cluster_rows[position])):
+                if all(low <= columns[name][row] <= high for name, (low, high) in ranges.items()):
+                    masks[index, row] = True
+                    total += measure[row]
+            values[index, position] = total
+    return masks, values
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "policy", ["sequential", "sorted", "intra-sort", "empty-segments", "int64-wide"]
+)
+def test_all_kernel_modes_match_dense(seed, policy, monkeypatch):
+    """All three kernels, both tile budgets, every layout family."""
+    rng = np.random.default_rng(seed)
+    clustered, queries = _layout_family(policy, rng)
+    layout = clustered.layout()
+    if policy == "int64-wide":
+        assert layout.columns["key"].dtype == np.int64
+    batch = QueryBatch(tuple(queries))
+    positions = [
+        np.sort(
+            rng.choice(
+                layout.num_clusters,
+                size=int(rng.integers(0, layout.num_clusters + 1)),
+                replace=False,
+            )
+        ).astype(np.int64)
+        for _ in batch
+    ]
+    brute_masks, brute_values = _brute_force(layout, queries)
+    for budget in BUDGETS:
+        monkeypatch.setattr(layout_module, "MAX_KERNEL_BYTES", budget)
+        with collect_kernel_telemetry() as oracle_stats:
+            dense = layout.cluster_values_dense(batch)
+        assert np.array_equal(dense, brute_values), budget
+        with collect_kernel_telemetry() as stats:
+            values = layout.cluster_values(batch)
+        assert values.dtype == np.int64
+        assert np.array_equal(values, dense), budget
+        if budget == TINY_BUDGET:
+            assert oracle_stats.tiles > 1
+            assert 0 < oracle_stats.max_tile_bytes
+        if policy in ("sorted", "intra-sort"):
+            assert stats.pairs_bisected > 0
+        per_query = layout.query_cluster_values(batch, positions)
+        for index, got in enumerate(per_query):
+            assert np.array_equal(got, brute_values[index, positions[index]]), budget
+        assert np.array_equal(layout.row_masks(batch), brute_masks), budget
+
+
+@st.composite
+def chunked_tables(draw):
+    """Cluster-sized chunks with mixed input dtypes, some of them empty."""
+    sizes = draw(st.lists(st.integers(0, 40), min_size=1, max_size=6))
+    seed = draw(st.integers(0, 2**31 - 1))
+    dtype = draw(st.sampled_from([np.int16, np.int32, np.int64]))
+    rng = np.random.default_rng(seed)
+    return [
+        Table(
+            SCHEMA,
+            {
+                "key": rng.integers(0, 1000, n).astype(dtype),
+                "aux": rng.integers(0, 50, n).astype(dtype),
+                "cat": rng.integers(0, 10, n).astype(dtype),
+            },
+        )
+        for n in sizes
+    ]
+
+
+@st.composite
+def boxes(draw):
+    """A COUNT query over ``key``, ``aux`` or both."""
+    key_low = draw(st.integers(0, 999))
+    key_high = draw(st.integers(key_low, 999))
+    aux_low = draw(st.integers(0, 49))
+    aux_high = draw(st.integers(aux_low, 49))
+    which = draw(st.integers(0, 2))
+    if which == 0:
+        return RangeQuery.count({"key": (key_low, key_high)})
+    if which == 1:
+        return RangeQuery.count({"aux": (aux_low, aux_high)})
+    return RangeQuery.count({"key": (key_low, key_high), "aux": (aux_low, aux_high)})
+
+
+@given(chunked_tables(), st.lists(boxes(), min_size=1, max_size=4))
+def test_production_matches_oracle_on_random_layouts(chunks, queries):
+    clustered = ClusteredTable(
+        clusters=tuple(
+            Cluster(cluster_id=index, rows=chunk, nominal_size=64)
+            for index, chunk in enumerate(chunks)
+        ),
+        cluster_size=64,
+    )
+    layout = clustered.layout()
+    batch = QueryBatch(tuple(queries))
+    reference = layout.cluster_values_dense(batch)
+    assert reference.dtype == np.int64
+    values = layout.cluster_values(batch)
+    assert values.dtype == reference.dtype
+    assert np.array_equal(values, reference)
+
+
+def test_dense_matches_per_cluster_loop():
+    rng = np.random.default_rng(7)
+    table = _random_table(rng, 1500)
+    clustered = ClusteredTable.from_table(table, cluster_size=128)
+    layout = clustered.layout()
+    queries = _random_workload(rng, 6)
+    matrix = layout.cluster_values_dense(QueryBatch(tuple(queries)))
+    for index, query in enumerate(queries):
+        expected = [execute_on_cluster(cluster, query) for cluster in clustered]
+        assert matrix[index].tolist() == expected
+
+
+def test_empty_segments_all_modes(monkeypatch):
     """Regression: zero-length segments, including a trailing one.
 
-    The old dense fallback allocated a Q×(rows+1) prefix matrix; the kernels
-    now mask empty segments out of the ``reduceat`` instead.  Every mode must
-    agree with the per-cluster loop, charging empty clusters exactly zero.
+    The kernels mask empty segments out of the ``reduceat``.  Production and
+    the oracle must agree with the per-cluster loop at both tile budgets,
+    charging empty clusters exactly zero.
     """
     clustered = _clustered_with_empty_segments()
     layout = clustered.layout()
@@ -167,27 +281,48 @@ def test_empty_segments_all_modes():
         ],
         dtype=np.int64,
     )
-    for execution in [DENSE_EXECUTION, *EXECUTION_MODES.values()]:
-        assert np.array_equal(layout.cluster_values(batch, execution=execution), expected)
     positions = [np.arange(layout.num_clusters, dtype=np.int64) for _ in batch]
-    for execution in [DENSE_EXECUTION, *EXECUTION_MODES.values()]:
-        values = layout.query_cluster_values(batch, positions, execution=execution)
+    for budget in BUDGETS:
+        monkeypatch.setattr(layout_module, "MAX_KERNEL_BYTES", budget)
+        assert np.array_equal(layout.cluster_values(batch), expected)
+        assert np.array_equal(layout.cluster_values_dense(batch), expected)
+        values = layout.query_cluster_values(batch, positions)
         for index in range(len(batch)):
             assert np.array_equal(values[index], expected[index])
 
 
-def test_empty_segments_executor_end_to_end():
+def test_empty_segments_executor_end_to_end(monkeypatch):
     clustered = _clustered_with_empty_segments()
     metadata = build_metadata(clustered)
     queries = _random_workload(np.random.default_rng(17), 5)
-    for execution in [None, DENSE_EXECUTION, EXECUTION_MODES["pruned+sorted+tiled-tiny"]]:
-        executor = ExactExecutor(clustered, metadata, execution=execution)
+    expected = [
+        sum(execute_on_cluster(cluster, query) for cluster in clustered)
+        for query in queries
+    ]
+    for budget in BUDGETS:
+        monkeypatch.setattr(layout_module, "MAX_KERNEL_BYTES", budget)
+        executor = ExactExecutor(clustered, metadata)
         values = [result.value for result in executor.execute_batch(queries)]
-        expected = [
-            sum(execute_on_cluster(cluster, query) for cluster in clustered)
-            for query in queries
-        ]
         assert values == expected
+
+
+def test_query_cluster_values_rejects_bad_positions():
+    """Positions outside ``[0, num_clusters)`` and misaligned lists are typed errors.
+
+    A position past the end used to escape as a bare ``IndexError`` and a
+    negative one silently answered for the *last* cluster.
+    """
+    layout = ClusteredTable.from_table(
+        _random_table(np.random.default_rng(3), 1000), cluster_size=100
+    ).layout()
+    assert layout.num_clusters == 10
+    batch = QueryBatch(tuple(_random_workload(np.random.default_rng(5), 2)))
+    good = np.array([0, 3], dtype=np.int64)
+    for bad in ([0, 99], [0, -1]):
+        with pytest.raises(StorageError, match="positions"):
+            layout.query_cluster_values(batch, [good, np.array(bad, dtype=np.int64)])
+    with pytest.raises(StorageError, match="align"):
+        layout.query_cluster_values(batch, [good])
 
 
 def test_gather_preserves_segment_offsets_and_empty_segments():
@@ -254,7 +389,7 @@ def test_intra_sort_preserves_cluster_membership_and_answers():
     assert plain.num_clusters == sorted_rows.num_clusters
     queries = _random_workload(rng, 10)
     batch = QueryBatch(tuple(queries))
-    plain_values = plain.layout().cluster_values(batch, execution=DENSE_EXECUTION)
+    plain_values = plain.layout().cluster_values_dense(batch)
     with collect_kernel_telemetry() as telemetry:
         sorted_values = sorted_rows.layout().cluster_values(batch)
     assert np.array_equal(plain_values, sorted_values)
@@ -262,67 +397,73 @@ def test_intra_sort_preserves_cluster_membership_and_answers():
 
 
 def test_kernel_backend_telemetry_counters():
-    """Per-backend telemetry: jit/fallback hits, fused pairs, tile bytes."""
+    """The counters the benchmark reads: integers only, one set, all filled.
+
+    (The name predates the single kernel path; there is no backend left to
+    count.)
+    """
     rng = np.random.default_rng(21)
     table = _random_table(rng, 4000)
     layout = ClusteredTable.from_table(table, cluster_size=200).layout()
     batch = QueryBatch(tuple(_random_workload(rng, 10)))
-    dense = layout.cluster_values(batch, execution=DENSE_EXECUTION)
-    for requested in ("numpy", "numba", "auto"):
-        execution = ExecutionConfig(
-            prune=True, sorted_bisect=False, kernel_backend=requested
-        )
-        with collect_kernel_telemetry() as telemetry:
-            values = layout.cluster_values(batch, execution=execution)
-        assert np.array_equal(values, dense), requested
-        assert telemetry.pairs_scanned > 0  # this workload always straddles
-        assert telemetry.max_tile_bytes > 0
-        if requested != "numpy" and numba_available():
-            assert telemetry.backend == "numba"
-            assert telemetry.jit_calls > 0
-            assert telemetry.fallback_calls == 0
-            assert telemetry.pairs_fused > 0
-        else:
-            assert telemetry.backend == "numpy"
-            assert telemetry.jit_calls == 0
-            assert telemetry.pairs_fused == 0
-        if requested == "numba" and not numba_available():
-            # Explicit request degraded: counted, with the reason recorded.
-            assert telemetry.fallback_calls > 0
-            assert "numba" in telemetry.fallback_reason
-        else:
-            assert telemetry.fallback_calls == 0
-            assert telemetry.fallback_reason == ""
+    with collect_kernel_telemetry() as telemetry:
+        values = layout.cluster_values(batch)
+    assert np.array_equal(values, layout.cluster_values_dense(batch))
+    counts = telemetry.as_dict()
+    assert list(counts) == [
+        "pairs_total",
+        "pairs_pruned",
+        "pairs_covered",
+        "pairs_bisected",
+        "pairs_scanned",
+        "rows_evaluated",
+        "tiles",
+        "max_tile_bytes",
+    ]
+    assert all(type(value) is int for value in counts.values())
+    assert telemetry.pairs_total == len(batch) * layout.num_clusters
+    assert telemetry.pairs_scanned > 0  # this workload always straddles
+    assert telemetry.pairs_total == (
+        telemetry.pairs_pruned
+        + telemetry.pairs_covered
+        + telemetry.pairs_bisected
+        + telemetry.pairs_scanned
+    )
+    assert telemetry.rows_evaluated > 0 and telemetry.tiles >= 1
+    assert telemetry.max_tile_bytes > 0
+    telemetry.merge_counts({**counts, "not_a_counter": 5})
+    assert telemetry.as_dict() == {name: 2 * value for name, value in counts.items()}
 
 
-def test_pruning_touches_fewer_rows_and_tiling_bounds_memory():
+def test_pruning_touches_fewer_rows_and_tiling_bounds_memory(monkeypatch):
     rng = np.random.default_rng(19)
     table = _random_table(rng, 8000)
-    clustered = ClusteredTable.from_table(table, cluster_size=200, policy="sorted")
-    layout = clustered.layout()
+    layout = ClusteredTable.from_table(table, cluster_size=200, policy="sorted").layout()
     # Low-selectivity workload: narrow ranges on the clustering key.
-    queries = []
-    for _ in range(8):
-        low = int(rng.integers(0, 980))
-        queries.append(RangeQuery.count({"key": (low, low + 15)}))
-    batch = QueryBatch(tuple(queries))
+    lows = [int(low) for low in rng.integers(0, 980, 8)]
+    batch = QueryBatch(tuple(RangeQuery.count({"key": (low, low + 15)}) for low in lows))
     with collect_kernel_telemetry() as dense_stats:
-        dense = layout.cluster_values(batch, execution=DENSE_EXECUTION)
+        dense = layout.cluster_values_dense(batch)
     with collect_kernel_telemetry() as pruned_stats:
         pruned = layout.cluster_values(batch)
     assert np.array_equal(dense, pruned)
     assert dense_stats.rows_evaluated == len(batch) * layout.num_rows
-    # With bisection on, the straddlers resolve by binary search: no rows.
+    # Sorted on the only straddling dimension: binary search, no rows.
     assert pruned_stats.rows_evaluated == 0
     assert pruned_stats.pairs_bisected > 0
-    # Force the straddlers onto the row path under a tiny budget: the peak
-    # tile footprint stays within it (no cluster of this table is larger
-    # than the budget's row allowance) and results stay identical.
+    # A second straddling dimension puts the surviving pairs on the row path;
+    # under a tiny budget the peak tile footprint stays within it (no
+    # cluster of this table is larger than the budget's row allowance) and
+    # results stay identical.
+    both = QueryBatch(
+        tuple(RangeQuery.count({"key": (low, low + 15), "aux": (8, 14)}) for low in lows)
+    )
     budget = 16384
-    execution = ExecutionConfig(sorted_bisect=False, max_kernel_bytes=budget)
+    monkeypatch.setattr(layout_module, "MAX_KERNEL_BYTES", budget)
     with collect_kernel_telemetry() as tiled_stats:
-        tiled = layout.cluster_values(batch, execution=execution)
-    assert np.array_equal(dense, tiled)
+        tiled = layout.cluster_values(both)
+    assert np.array_equal(tiled, layout.cluster_values_dense(both))
+    assert tiled_stats.pairs_bisected == 0 and tiled_stats.tiles > 1
     assert 0 < tiled_stats.rows_evaluated < dense_stats.rows_evaluated / 10
     assert 0 < tiled_stats.max_tile_bytes <= budget
 
@@ -332,8 +473,9 @@ def _system(table: Table, config: SystemConfig, **kwargs) -> FederatedAQPSystem:
 
 
 @pytest.mark.parametrize("seed", [0, 4])
-def test_system_modes_bit_identical(seed):
-    """End-to-end: the full DP protocol is invariant across engine modes."""
+def test_system_modes_bit_identical(seed, monkeypatch):
+    """End-to-end: the full DP protocol is invariant under the tile budget
+    and under intra-cluster sorting (row scan vs bisection)."""
     rng = np.random.default_rng(seed)
     table = _random_table(rng, 6000)
     base = SystemConfig(
@@ -343,20 +485,14 @@ def test_system_modes_bit_identical(seed):
         seed=23,
     )
     queries = _random_workload(rng, 9)
-    reference = _system(table, base.with_execution(DENSE_EXECUTION)).execute_batch(
-        queries, compute_exact=False
-    )
-    variants = {
-        "default": base,
-        "tiled-tiny": base.with_execution(
-            ExecutionConfig(max_kernel_bytes=8192)
-        ),
-    }
-    for mode, config in variants.items():
-        values = _system(table, config).execute_batch(queries, compute_exact=False).values
-        assert values == reference.values, mode
+    reference = _system(table, base).execute_batch(queries, compute_exact=False)
     intra = _system(table, base, intra_sort_by="key")
     assert intra.execute_batch(queries, compute_exact=False).values == reference.values
+    monkeypatch.setattr(layout_module, "MAX_KERNEL_BYTES", 8192)
+    with collect_kernel_telemetry() as stats:
+        tiled = _system(table, base).execute_batch(queries, compute_exact=False)
+    assert tiled.values == reference.values
+    assert stats.tiles > len(queries)
 
 
 def test_system_process_backend_bit_identical():

@@ -19,6 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_engine_equivalence import SCHEMA as ENGINE_SCHEMA
+from test_engine_equivalence import boxes, chunked_tables
 
 from repro.config import (
     CacheConfig,
@@ -33,6 +37,7 @@ from repro.errors import IngestError, ProtocolError, ServiceOverloadedError
 from repro.federation.messages import QueryRequest
 from repro.federation.provider import DataProvider
 from repro.ingest import CompactionPolicy, Compactor, DeltaStore
+from repro.query.executor import execute_on_table
 from repro.query.model import RangeQuery
 from repro.service import SessionScheduler, TenantRegistry
 from repro.storage.schema import Dimension, Schema
@@ -149,6 +154,56 @@ class TestDeltaStore:
         assert store.rows_upto(4).num_rows == 4
         assert store.rows_upto(9).num_rows == 9
         assert store.rows_upto(12).num_rows == 12
+
+
+@st.composite
+def delta_scenarios(draw):
+    chunks = draw(st.lists(chunked_tables(), min_size=1, max_size=2))
+    flat = [table for group in chunks for table in group]
+    total = sum(table.num_rows for table in flat)
+    queries = draw(st.lists(boxes(), min_size=1, max_size=4))
+    watermarks = [draw(st.integers(0, total)) for _ in queries]
+    return flat, queries, watermarks
+
+
+@given(delta_scenarios())
+def test_delta_snapshot_batch_eval_matches_per_query_reference(scenario):
+    """Watermark-pinned batch evaluation ≡ slicing the prefix and scanning it."""
+    flat, queries, watermarks = scenario
+    store = DeltaStore(ENGINE_SCHEMA)
+    for table in flat:
+        store.append(table)
+    values, scanned = store.query_values(queries, watermarks)
+    assert values.dtype == np.int64
+    for index, (query, watermark) in enumerate(zip(queries, watermarks)):
+        visible = store.rows_upto(watermark)
+        assert values[index] == execute_on_table(visible, query)
+        assert 0 <= scanned[index] <= visible.num_rows
+
+
+def test_system_answers_identical_with_live_deltas():
+    """End to end: uncompacted delta rows are in the read path, and the DP
+    answers over them reproduce from the seed."""
+    base = make_table(3000, 61)
+    delta = make_table(200, 62)
+    union = Table.concat([base, delta])
+    config = SystemConfig(
+        cluster_size=150,
+        num_providers=3,
+        seed=17,
+        ingest=IngestConfig(max_delta_rows=10**6),
+    )
+    summaries = []
+    for _ in range(2):
+        system = FederatedAQPSystem.from_table(base, config=config)
+        system.ingest(delta)
+        assert system.total_delta_rows == delta.num_rows
+        result = system.execute_batch(QUERIES, compute_exact=True)
+        summaries.append([(r.value, r.exact_value) for r in result.results])
+    assert summaries[0] == summaries[1]
+    assert [exact for _, exact in summaries[0]] == [
+        execute_on_table(union, query) for query in QUERIES
+    ]
 
 
 class TestIngestValidation:
@@ -593,20 +648,17 @@ class TestEmptyBornProvider:
 
     @pytest.mark.parametrize("dense", [True, False])
     def test_empty_table_kernels(self, dense):
-        from repro.config import ExecutionConfig
         from repro.query.batch import QueryBatch
         from repro.storage.clustered_table import ClusteredTable
 
-        execution = ExecutionConfig.dense() if dense else ExecutionConfig()
         layout = ClusteredTable.from_table(Table.empty(SCHEMA), 8).layout()
         batch = QueryBatch(tuple(QUERIES))
-        values = layout.cluster_values(batch, execution=execution)
+        kernel = layout.cluster_values_dense if dense else layout.cluster_values
+        values = kernel(batch)
         assert values.shape == (3, 1) and not values.any()
-        masks = layout.row_masks(batch, execution=execution)
+        masks = layout.row_masks(batch)
         assert masks.shape == (3, 0)
-        per_query = layout.query_cluster_values(
-            batch, [np.array([0])] * 3, execution=execution
-        )
+        per_query = layout.query_cluster_values(batch, [np.array([0])] * 3)
         assert all(int(values.sum()) == 0 for values in per_query)
 
     def test_provider_born_empty_bootstrapped_by_ingest(self):

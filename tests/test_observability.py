@@ -155,21 +155,20 @@ def test_disabled_observability_is_bit_identical_to_default_config():
 
 
 def test_disabled_observability_matches_equivalence_matrix_modes():
-    """Ride the PR-9 engine-mode matrix: obs on/off per mode, same bits."""
-    from test_engine_equivalence import EXECUTION_MODES
-
+    """Obs on/off, same bits, with the straddlers on the row-scan path
+    (insertion-order clusters) and on the bisection path (rows sorted inside
+    each cluster)."""
     table = _table()
-    for name in ("pruned", "pruned+sorted"):
-        execution = EXECUTION_MODES[name]
+    for intra_sort_by in (None, "age"):
         off = FederatedAQPSystem.from_table(
-            table, config=_config(observability=False).with_execution(execution)
+            table, config=_config(observability=False), intra_sort_by=intra_sort_by
         )
         on = FederatedAQPSystem.from_table(
-            table, config=_config(observability=True).with_execution(execution)
+            table, config=_config(observability=True), intra_sort_by=intra_sort_by
         )
         assert _values(on.execute_batch(QUERIES, compute_exact=False)) == _values(
             off.execute_batch(QUERIES, compute_exact=False)
-        ), f"observability changed answers under mode {name!r}"
+        ), f"observability changed answers with intra_sort_by={intra_sort_by!r}"
 
 
 def test_disabled_observability_keeps_wire_bytes_identical():

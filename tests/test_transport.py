@@ -38,7 +38,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.config import SamplingConfig, SystemConfig, TransportConfig
+from repro.config import IngestConfig, SamplingConfig, SystemConfig, TransportConfig
 from repro.core.accounting import QueryBudget
 from repro.core.result import ProviderReport
 from repro.core.system import FederatedAQPSystem
@@ -892,6 +892,60 @@ def test_socket_server_gives_concurrent_clients_their_own_replies_and_exact_coun
             assert len(transport._handlers) == 4
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_procpool_delta_path_pickles_zero_row_bytes():
+    """Delta rows reach workers through shared memory only.
+
+    Both shipping flavors are exercised — rows pending *before* the workers
+    start (pre-populated into the append buffer at start) and rows ingested
+    *while* they are live (mirrored to workers by buffer offset).  The
+    carrier's accounting must show every shipped row in the shared-memory
+    ledger and zero bytes of pickled row payloads — and the pipe traffic of
+    the mirrored append must not scale with the rows; answers stay
+    bit-identical to the in-process transport.
+    """
+    rng = np.random.default_rng(67)
+
+    def rows(count: int) -> Table:
+        return Table(
+            _SCHEMA,
+            {
+                "age": rng.integers(0, 100, count),
+                "hours": rng.integers(0, 50, count),
+                "dept": rng.integers(0, 10, count),
+            },
+        )
+
+    base, early, late = rows(400), rows(30), rows(1000)
+    tokens = [(9, index) for index in range(len(_QUERIES))]
+    serial_config = SystemConfig(
+        cluster_size=32,
+        num_providers=2,
+        seed=7,
+        ingest=IngestConfig(max_delta_rows=10**6),
+    )
+    pooled_config = serial_config.with_transport(TransportConfig(kind="process"))
+    with FederatedAQPSystem.from_table(base, config=pooled_config) as pooled:
+        pooled.ingest(early)  # pending before the workers exist
+        first = pooled.execute_batch(_QUERIES, seed_tokens=tokens)
+        stats = pooled.aggregator.transport.carrier_stats
+        assert stats["delta_rows_shipped"] == early.num_rows
+        pipe_bytes = pooled.transport_stats().bytes_sent
+        pooled.ingest(late)  # mirrored onto live workers
+        # One small descriptor + ack per provider — not 1000 rows x 3 columns.
+        assert pooled.transport_stats().bytes_sent - pipe_bytes < late.memory_bytes()
+        second = pooled.execute_batch(_QUERIES, seed_tokens=tokens)
+        assert stats["delta_rows_shipped"] == early.num_rows + late.num_rows
+        assert stats["delta_shared_bytes"] > 0
+        assert stats["delta_rows_pickled_bytes"] == 0
+    with FederatedAQPSystem.from_table(base, config=serial_config) as plain:
+        plain.ingest(early)
+        plain_first = plain.execute_batch(_QUERIES, seed_tokens=tokens)
+        plain.ingest(late)
+        plain_second = plain.execute_batch(_QUERIES, seed_tokens=tokens)
+    assert [r.value for r in first.results] == [r.value for r in plain_first.results]
+    assert [r.value for r in second.results] == [r.value for r in plain_second.results]
 
 
 def test_loopback_surfaces_provider_errors_typed():
