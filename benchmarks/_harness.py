@@ -1,8 +1,10 @@
 """Shared recorder for the ``BENCH_*.json`` trajectory files.
 
-Every benchmark that records machine-readable numbers appends entries to
-``benchmarks/results/BENCH_<name>.json`` through :func:`record_bench`, so
-the files share one schema and stay comparable across commits::
+Every benchmark that records machine-readable numbers builds its entry
+through :func:`record_bench`; with ``REPRO_BENCH_RECORD=1`` in the
+environment the entry is also appended to
+``benchmarks/results/BENCH_<name>.json``, so the files share one schema and
+stay comparable across commits::
 
     {
       "bench": "<name>",
@@ -20,9 +22,12 @@ the files share one schema and stay comparable across commits::
     }
 
 The files are git-tracked on purpose: committing the updated history
-alongside a change is what builds the trajectory, so a dirty tree after a
-bench run is expected.  Entries written by pre-harness revisions of a file
-are preserved verbatim (they lack the ``params`` / ``metrics`` nesting).
+alongside a change is what builds the trajectory.  Writing them is opt-in
+(``REPRO_BENCH_RECORD=1``, set by the CI step whose results are uploaded,
+or by hand on a quiet machine) so that a plain test run leaves the tree
+clean; the benchmarks' gates assert on the returned in-memory entry either
+way.  Entries written by pre-harness revisions of a file are preserved
+verbatim (they lack the ``params`` / ``metrics`` nesting).
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ def commit_info() -> dict[str, Any]:
 
     What makes an entry attributable: a number recorded from a dirty tree
     belongs to no commit.  The result files themselves are left out of the
-    dirty check — every bench run rewrites them — and the answer is taken
+    dirty check — a recording run rewrites them — and the answer is taken
     once per process.  Outside a git checkout both fields are ``None``.
     """
 
@@ -122,13 +127,8 @@ def record_bench(
     params: Mapping[str, Any],
     metrics: Mapping[str, Any],
 ) -> dict[str, Any]:
-    """Append one entry to ``results/BENCH_<name>.json`` and return it."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"BENCH_{name}.json"
-    history: dict[str, Any] = {"bench": name, "entries": []}
-    if path.exists():
-        history = json.loads(path.read_text())
-    history["schema_version"] = SCHEMA_VERSION
+    """Build one entry and return it; append it to ``results/BENCH_<name>.json``
+    only when ``REPRO_BENCH_RECORD=1``."""
     entry = {
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "commit": commit_info(),
@@ -136,6 +136,14 @@ def record_bench(
         "params": dict(params),
         "metrics": dict(metrics),
     }
+    if os.environ.get("REPRO_BENCH_RECORD") != "1":
+        return entry
+    RESULTS_DIR.mkdir(exist_ok=True)
+    path = RESULTS_DIR / f"BENCH_{name}.json"
+    history: dict[str, Any] = {"bench": name, "entries": []}
+    if path.exists():
+        history = json.loads(path.read_text())
+    history["schema_version"] = SCHEMA_VERSION
     history.setdefault("entries", []).append(entry)
     path.write_text(json.dumps(history, indent=2) + "\n")
     return entry

@@ -6,7 +6,8 @@ sequential per-query loop (``system.execute`` per query) and once as a single
 batch path must be at least 2x faster; its results are also checked to be
 bit-identical to the sequential loop under the same seed.
 
-Each run appends an entry to ``results/BENCH_batch_throughput.json`` through
+Each recording run (``REPRO_BENCH_RECORD=1``) appends an entry to
+``results/BENCH_batch_throughput.json`` through
 the shared harness (see :mod:`_harness` for the schema) so the performance
 trajectory across commits can be tracked.
 """

@@ -13,7 +13,8 @@ cache off and on — and records both axes of the win:
 Correctness gate: the cache-off run is asserted bit-identical to the plain
 batch engine (the PR-1 path) under the same seed before anything is timed.
 
-Each run appends an entry to ``results/BENCH_cache_hit_rate.json`` through
+Each recording run (``REPRO_BENCH_RECORD=1``) appends an entry to
+``results/BENCH_cache_hit_rate.json`` through
 the shared harness (see :mod:`_harness` for the schema) so the reuse
 trajectory across commits can be tracked.
 """

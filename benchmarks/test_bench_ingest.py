@@ -17,7 +17,8 @@ happened — i.e. absorbing writes and folding them costs at most a bounded
 constant factor, never a stop-the-world pause.  Sustained ingest rows/sec
 is recorded alongside.
 
-Each run appends an entry to ``results/BENCH_ingest.json`` through the
+Each recording run (``REPRO_BENCH_RECORD=1``) appends an entry to
+``results/BENCH_ingest.json`` through the
 shared harness (see :mod:`_harness` for the schema).
 """
 

@@ -20,7 +20,8 @@ The dashboards' p99 settlement latency must improve by at least
 answers and epsilon charges stay bit-identical between the two modes (the
 SLO levers move *when* work runs, never what it returns).
 
-Each run appends an entry to ``results/BENCH_latency.json`` through the
+Each recording run (``REPRO_BENCH_RECORD=1``) appends an entry to
+``results/BENCH_latency.json`` through the
 shared harness (see :mod:`_harness` for the schema).
 """
 

@@ -5,7 +5,8 @@ Paper numbers: ~6.4 MB (64 KB/cluster) of metadata for Adult and ~11 MB
 data.  The reproduced quantity to check is that ratio, since absolute sizes
 scale with the synthetic dataset size.
 
-Each run also appends the measured fractions to
+Each recording run (``REPRO_BENCH_RECORD=1``) also appends the measured
+fractions to
 ``results/BENCH_metadata_space.json`` through the shared harness so the
 footprint trajectory across commits can be tracked.
 """

@@ -12,7 +12,8 @@ Two gates:
 * **overhead** — enabled costs at most ``REPRO_BENCH_MAX_OBS_OVERHEAD``
   (5% default, env-relaxable for noisy shared runners) over disabled.
 
-Each run appends an entry to ``results/BENCH_observability.json`` through
+Each recording run (``REPRO_BENCH_RECORD=1``) appends an entry to
+``results/BENCH_observability.json`` through
 the shared harness (see :mod:`_harness` for the schema).
 """
 

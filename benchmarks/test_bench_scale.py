@@ -32,7 +32,8 @@ The carriers are asserted bit-identical; their timings are recorded without
 a gate — the process carrier's win is core-count dependent and CI boxes may
 be single-core.
 
-Entries append to ``results/BENCH_scale.json`` via the shared harness.
+With ``REPRO_BENCH_RECORD=1`` entries append to
+``results/BENCH_scale.json`` via the shared harness.
 Scale knobs: ``REPRO_BENCH_SCALE_ROWS`` (default 1 000 000),
 ``REPRO_BENCH_SCALE_BACKEND_ROWS`` (default 1 000 000).
 """

@@ -15,7 +15,8 @@ default) the aggregate queries/sec of the serial mode, while remaining
 per-``(tenant, sequence)`` noise streams, the DP answers themselves — are
 bit-identical in both modes.
 
-Each run appends an entry to ``results/BENCH_service.json`` through the
+Each recording run (``REPRO_BENCH_RECORD=1``) appends an entry to
+``results/BENCH_service.json`` through the
 shared harness (see :mod:`_harness` for the schema).
 """
 

@@ -17,7 +17,8 @@ recorded, so the numbers can never describe diverging answers.  Timings
 are recorded without a gate: the point is the recorded overhead ratio, and
 wire transports on a loaded CI box are too noisy for a hard floor.
 
-Entries append to ``results/BENCH_transport.json`` via the shared harness.
+With ``REPRO_BENCH_RECORD=1`` entries append to
+``results/BENCH_transport.json`` via the shared harness.
 Scale knob: ``REPRO_BENCH_TRANSPORT_ROWS`` (default 60 000).
 """
 

@@ -50,14 +50,24 @@ def query_fingerprint(query: RangeQuery) -> tuple:
     tuple
         ``(aggregation, ((dimension, low, high), ...))`` with dimensions in
         sorted order, suitable as a dictionary key.
+
+    The fingerprint is memoised on the (frozen) query object: the planner
+    peek and every provider's summary and answer key ask for it, and
+    ``clipped_to`` returns the same object when nothing clips, so one sort
+    serves all of them.  The memo is not a dataclass field — equality, the
+    wire codec and ``dataclasses.replace`` never see it.
     """
-    ranges = tuple(
-        sorted(
-            (name, interval.low, interval.high)
-            for name, interval in query.ranges.items()
+    fingerprint = query.__dict__.get("_fingerprint")
+    if fingerprint is None:
+        ranges = tuple(
+            sorted(
+                (name, interval.low, interval.high)
+                for name, interval in query.ranges.items()
+            )
         )
-    )
-    return (query.aggregation.value, ranges)
+        fingerprint = (query.aggregation.value, ranges)
+        query.__dict__["_fingerprint"] = fingerprint
+    return fingerprint
 
 
 def summary_key(query: RangeQuery, epsilon_allocation: float) -> tuple:

@@ -101,12 +101,17 @@ class _QuerySession:
     query's private random stream; every stochastic step of this query
     (summary noise, EM sampling, estimate noise) draws from it in a fixed
     order, which is what makes batched and sequential execution
-    bit-identical.
+    bit-identical.  ``seed`` is what the stream is built from: the
+    positional child seed drawn from the provider's root stream, or the
+    request's keyed ``seed_material``.
 
-    Sessions opened by a summary *cache hit* are lazy: the covering set and
-    proportions are only materialised (in one vectorised metadata pass) if
-    the answer phase turns out to need a fresh release — a fully cached
-    query never touches the metadata index at all.
+    Sessions are opened lazy: the stream is built, and the covering set and
+    proportions materialised (in one vectorised metadata pass), when the
+    query first needs a fresh release — at once for a summary cache miss, at
+    the answer phase for a summary hit whose answer misses, never for a
+    fully cached query, which touches neither the metadata index nor a
+    generator.  A stream is a pure function of its seed, so when it is
+    built changes no draw.
 
     ``delta_watermark`` pins the query's ingestion snapshot: the number of
     delta-store rows visible to it, captured when the session opened.  The
@@ -116,7 +121,8 @@ class _QuerySession:
     """
 
     query: RangeQuery
-    rng: np.random.Generator
+    seed: int | Sequence[int]
+    rng: np.random.Generator | None = None
     covering_positions: np.ndarray | None = None
     proportions: np.ndarray | None = None
     proportions_sum: float = 0.0
@@ -304,9 +310,9 @@ class DataProvider:
         estimate costs no row access and no privacy budget.  The serving
         layer's :class:`~repro.service.costmodel.CostModel` combines these
         across providers; estimates are only as fresh as the layout they
-        were read from, so callers re-estimate when
-        :attr:`layout_epoch` / :attr:`delta_watermark` move (compaction
-        rewrites the zone maps).
+        were read from (compaction rewrites the zone maps, moving
+        :attr:`layout_epoch` / :attr:`delta_watermark`), so the scheduler
+        takes them once per drain and keeps none.
         """
         return self.metadata.cost_stats_batch(
             [query.range_tuples() for query in queries]
@@ -567,19 +573,26 @@ class DataProvider:
 
     # -- protocol step 1: noisy summary ---------------------------------------
 
-    def _keyed_stream(self, seed_material: Sequence[int]) -> np.random.Generator:
-        """Per-query generator keyed by ``seed_material`` (order-independent).
+    def _open_streams(self, sessions: Sequence[_QuerySession]) -> None:
+        """Build the noise stream of every listed session that has none yet.
 
-        The stream depends only on the provider's stable entropy (fixed at
+        A positional session's stream is seeded by its child seed.  A keyed
+        one depends only on the provider's stable entropy (fixed at
         construction from the system seed) and the caller-supplied material —
         never on how many draws the root stream has served — so the same
         ``(seed, material)`` pair yields the same noise in any batch, any
         interleaving, and any parallelism backend.
         """
-        entropy = list(self._stream_entropy) + [
-            int(part) & 0xFFFFFFFF for part in seed_material
-        ]
-        return np.random.default_rng(np.random.SeedSequence(entropy))
+        for session in sessions:
+            if session.rng is not None:
+                continue
+            seed = session.seed
+            if not isinstance(seed, int):
+                seed = np.random.SeedSequence(
+                    list(self._stream_entropy)
+                    + [int(part) & 0xFFFFFFFF for part in seed]
+                )
+            session.rng = np.random.default_rng(seed)
 
     def prepare_summary(self, request: QueryRequest, epsilon_allocation: float) -> SummaryMessage:
         """Release the DP summary ``(Ñ^Q, ~Avg(R̂))`` for the allocation phase."""
@@ -669,17 +682,17 @@ class DataProvider:
             for index in range(len(requests))
             if cached_releases[index] is None and index not in duplicate_of
         ]
-        # Open one (lazy) session per request, then run the vectorised
-        # metadata pass over the fresh queries only: cache hits defer
-        # covering/proportions until (and unless) the answer phase needs a
-        # fresh release.
+        # Open one (lazy) session per request, then build the streams and
+        # run the vectorised metadata pass for the fresh queries only: cache
+        # hits defer stream and covering/proportions until (and unless) the
+        # answer phase needs a fresh release.
         #
         # One bulk draw seeds every per-query child stream; numpy's bounded
         # integer sampling consumes the bit stream per value, so a bulk draw
         # of n seeds equals n consecutive single draws — which is what keeps
         # batch and sequential execution on identical streams.  Cache hits
-        # keep their (otherwise untouched) child stream: it seeds the
-        # answer-phase randomness if the answer later misses.
+        # keep their child seed: it seeds the answer-phase randomness if the
+        # answer later misses.
         #
         # Requests carrying ``seed_material`` opt out of the positional draw:
         # their child stream is keyed by (provider stream entropy, material),
@@ -699,16 +712,18 @@ class DataProvider:
                 index: int(draws[slot]) for slot, index in enumerate(positional)
             }
         for index, (request, query) in enumerate(zip(requests, queries)):
-            if request.seed_material is None:
-                rng = np.random.default_rng(child_seeds[index])
-            else:
-                rng = self._keyed_stream(request.seed_material)
             self._sessions[request.query_id] = _QuerySession(
-                query=query, rng=rng, delta_watermark=pinned_watermark
+                query=query,
+                seed=(
+                    child_seeds[index]
+                    if request.seed_material is None
+                    else request.seed_material
+                ),
+                delta_watermark=pinned_watermark,
             )
-        self._materialize_sessions(
-            [self._sessions[requests[index].query_id] for index in fresh]
-        )
+        fresh_sessions = [self._sessions[requests[index].query_id] for index in fresh]
+        self._open_streams(fresh_sessions)
+        self._materialize_sessions(fresh_sessions)
         half_epsilon = epsilon_allocation / 2.0
         # Validate the phase budget once per batch; the per-query noise draws
         # below use the Lap(sensitivity / eps) calibration directly.
@@ -893,7 +908,9 @@ class DataProvider:
                 pending[key] = (index, [])
             fresh.append(index)
         if fresh:
-            self._materialize_sessions([sessions[index] for index in fresh])
+            fresh_sessions = [sessions[index] for index in fresh]
+            self._open_streams(fresh_sessions)
+            self._materialize_sessions(fresh_sessions)
             plans: list[_AnswerPlan] = []
             approx_plans: list[_AnswerPlan] = []
             for index in fresh:

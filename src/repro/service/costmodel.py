@@ -22,10 +22,11 @@ drain chunks with (see
   exposed through :class:`~repro.service.scheduler.ServiceStats` so
   operators can see how trustworthy the packing currently is.
 
-Estimates are only as fresh as the layout they were read from: compaction
-rewrites zone maps and occupancy, so cached estimates carry the
-:meth:`CostModel.layout_signature` they were computed under and are
-recomputed when it moves (the deferred-resubmission staleness fix).
+Estimates are only as fresh as the layout they were read from — compaction
+rewrites zone maps and occupancy, an ingest grows the delta every query
+scans — so nobody keeps one: the scheduler estimates each drain's admitted
+workload in one :meth:`CostModel.estimate` call, under its drain lock, right
+before packing it.
 """
 
 from __future__ import annotations
@@ -72,9 +73,11 @@ class CostModel:
     """Estimates per-query drain cost and calibrates itself online.
 
     Thread-safety: :meth:`estimate` reads provider metadata and must run
-    where provider state is quiescent (the scheduler calls it under its
-    drain lock); :meth:`observe` and the properties touch only the model's
-    own scalars.
+    where provider state is quiescent.  The scheduler calls it from
+    :meth:`~repro.service.scheduler.SessionScheduler.drain` only, under the
+    drain lock — never from ``submit``, which runs beside a drain that may
+    be compacting.  :meth:`observe` and the properties touch only the
+    model's own scalars.
     """
 
     def __init__(self, system: "FederatedAQPSystem") -> None:
@@ -88,9 +91,10 @@ class CostModel:
     def layout_signature(self) -> tuple[tuple[int, int], ...]:
         """Per-provider ``(layout_epoch, delta_watermark)`` freshness stamp.
 
-        Any estimate computed under a different signature is stale: a
-        compaction rewrote the zone maps, or ingested rows changed the scan
-        volume every query pays.
+        Two estimates of one query agree when taken under the same
+        signature; once it moves — a compaction rewrote the zone maps, or
+        ingested rows changed the scan volume every query pays — an older
+        estimate describes a layout that is gone.
         """
         return tuple(
             (provider.layout_epoch, provider.delta_watermark)

@@ -41,17 +41,17 @@ all answer-preserving (they move *when* work runs, never what it returns):
 
 * **Cost-model-driven chunking** — with
   :attr:`~repro.config.ServiceConfig.drain_time_budget_ms` set, every
-  submission is priced in work units by the
-  :class:`~repro.service.costmodel.CostModel` (zone-map covering sets,
-  covered-vs-straddler split) and the drain's
-  workload is packed by
+  drain prices its admitted workload in work units with one
+  :class:`~repro.service.costmodel.CostModel` pass (zone-map covering sets,
+  covered-vs-straddler split) and packs it with
   :func:`~repro.federation.partitioning.work_balanced_chunks` so no chunk's
   *estimated* wall-clock exceeds the budget; ``max_batch_size`` remains a
   hard per-chunk cap.  The model calibrates itself against each chunk's
-  measured seconds, and estimates are recomputed whenever a provider's
-  ``(layout_epoch, delta_watermark)`` moved since they were taken — a
-  deferred submission re-admitted after a compaction is packed with fresh
-  zone-map statistics, not the ones it was parked under.
+  measured seconds.  Admission prices *epsilon* at submit and *work* at
+  drain: the estimate is read under the drain lock from the layout the
+  chunks are about to run on, so a submission parked or left behind across
+  an ingest or a compaction is never packed with the zone-map statistics of
+  a layout that no longer exists.
 * **Weighted-fair admission** — with per-tenant
   :attr:`~repro.service.tenants.Tenant.priority_class` weights (or
   :attr:`~repro.config.ServiceConfig.max_queries_per_drain` set), the drain
@@ -318,11 +318,8 @@ class ServiceStats:
 class _Submission:
     """Internal bookkeeping of one accepted or deferred submission.
 
-    ``query_costs`` caches the cost model's per-query unit estimates, valid
-    only under ``cost_signature`` (the layout signature they were computed
-    against); ``drains_skipped`` counts eligible drains that left the
-    submission behind under a query cap — the aging input of the
-    weighted-fair planner.
+    ``drains_skipped`` counts eligible drains that left the submission
+    behind under a query cap — the aging input of the weighted-fair planner.
     """
 
     submission_id: int
@@ -333,8 +330,6 @@ class _Submission:
     bound_epsilon: float = 0.0
     bound_delta: float = 0.0
     reserved: bool = False
-    query_costs: tuple[float, ...] | None = None
-    cost_signature: tuple[tuple[int, int], ...] | None = None
     drains_skipped: int = 0
     trace_ctx: tuple[str, str] | None = None
 
@@ -537,6 +532,11 @@ class SessionScheduler:
     ) -> SubmissionReceipt:
         """Accept (or defer, or refuse) one tenant's workload.
 
+        Only the *epsilon* bound is priced here.  The work estimate the
+        time-budgeted packing needs reads provider metadata, which a
+        concurrent drain may be compacting, so it is taken by :meth:`drain`
+        under the drain lock — ``submit`` makes no cost-model call.
+
         Parameters
         ----------
         tenant_id:
@@ -600,17 +600,6 @@ class SessionScheduler:
             else nullcontext()
         ):
             bound_epsilon, bound_delta = self._price(range_queries)
-        # Cost estimation rides the same off-lock slot.  The estimate is a
-        # packing hint, not a correctness input: if a compaction lands
-        # between here and the drain, the recorded signature no longer
-        # matches and the drain re-estimates against the fresh layout.
-        query_costs: tuple[float, ...] | None = None
-        cost_signature: tuple[tuple[int, int], ...] | None = None
-        if self.config.drain_time_budget_ms is not None:
-            cost_signature = self.cost_model.layout_signature()
-            query_costs = tuple(
-                estimate.units for estimate in self.cost_model.estimate(range_queries)
-            )
         with self._lock:
             ledger = self.system.obs.ledger
             if ledger is not None and tenant.budget.audit is None:
@@ -653,8 +642,6 @@ class SessionScheduler:
                 seed_tokens=tuple(tenant.next_seed_token() for _ in range_queries),
                 bound_epsilon=bound_epsilon,
                 bound_delta=bound_delta,
-                query_costs=query_costs,
-                cost_signature=cost_signature,
                 trace_ctx=trace_ctx,
             )
             self._next_submission_id += 1
@@ -840,14 +827,15 @@ class SessionScheduler:
                     else nullcontext()
                 ):
                     admitted = self._admit_for_drain()
-                    if self.config.drain_time_budget_ms is not None:
-                        self._refresh_costs(admitted)
+                    costs = self._estimate_costs(admitted)
                 with self._lock:
                     ingests = self._pending_ingest
                     self._pending_ingest = []
                 if not admitted and not ingests:
                     return []
-                return self._run_pipeline(admitted, ingests, drain_ctx=drain_ctx)
+                return self._run_pipeline(
+                    admitted, ingests, costs, drain_ctx=drain_ctx
+                )
             finally:
                 self._end_trace(drain_ctx, submissions=len(admitted))
 
@@ -911,36 +899,29 @@ class SessionScheduler:
                     self._pending.append(submission)
             return [pending[index] for index in picked]
 
-    def _refresh_costs(self, admitted: Sequence[_Submission]) -> None:
-        """Re-estimate stale query costs against the current layout.
+    def _estimate_costs(self, admitted: Sequence[_Submission]) -> list[float]:
+        """Work units of every admitted query, in pick order (one model call).
 
-        A submission's cached estimate is only valid under the layout
-        signature it was computed with: a compaction between submit (or
-        deferral) and drain rewrites zone maps and occupancy, and an ingest
-        changes the delta volume every query scans.  Runs under the drain
-        lock, where provider state is quiescent.
+        Taken per drain, under the drain lock, where provider state is
+        quiescent: compaction rewrites zone maps and occupancy and an ingest
+        changes the delta volume every query scans, so an estimate is only
+        good for the drain that reads it.  Empty without a time budget —
+        nothing then packs by work.
         """
-        signature = self.cost_model.layout_signature()
-        stale = [s for s in admitted if s.cost_signature != signature]
-        if not stale:
-            return
-        estimates = self.cost_model.estimate(
-            [query for submission in stale for query in submission.queries]
-        )
-        position = 0
-        for submission in stale:
-            count = len(submission.queries)
-            submission.query_costs = tuple(
-                estimate.units
-                for estimate in estimates[position : position + count]
+        if self.config.drain_time_budget_ms is None:
+            return []
+        return [
+            estimate.units
+            for estimate in self.cost_model.estimate(
+                [query for submission in admitted for query in submission.queries]
             )
-            submission.cost_signature = signature
-            position += count
+        ]
 
     def _run_pipeline(
         self,
         admitted: Sequence[_Submission],
         ingests: Sequence[tuple[Table, int | None, Tenant | None]] = (),
+        flat_costs: Sequence[float] = (),
         *,
         drain_ctx: tuple[str, str] | None = None,
     ) -> list[TenantAnswer]:
@@ -962,28 +943,24 @@ class SessionScheduler:
 
         With ``drain_time_budget_ms`` set, chunk boundaries come from
         :func:`~repro.federation.partitioning.work_balanced_chunks` over
-        the cost model's per-query unit estimates (``max_batch_size``
-        stays a hard cap), and every executed chunk's measurement is fed
-        back into the model's calibration.
+        ``flat_costs`` — this drain's per-query unit estimates, aligned
+        with the flattened workload (``max_batch_size`` stays a hard cap) —
+        and every executed chunk's measurement is fed back into the model's
+        calibration.
         """
         drain_started = time.perf_counter()
-        budget_ms = self.config.drain_time_budget_ms
         flat_queries: list[RangeQuery] = []
         flat_tokens: list[tuple[int, ...]] = []
         flat_tenants: list[str] = []
-        flat_costs: list[float] = []
         offsets = [0]
         for submission in admitted:
             flat_queries.extend(submission.queries)
             flat_tokens.extend(submission.seed_tokens)
             flat_tenants.extend([submission.tenant.tenant_id] * len(submission.queries))
-            if budget_ms is not None and submission.query_costs is not None:
-                flat_costs.extend(submission.query_costs)
             offsets.append(offsets[-1] + len(submission.queries))
         # Chunk boundaries as (start, stop) index ranges over the flattened
         # workload: count-chunking by default, work packing under a time
         # budget (boundaries only ever move, order never changes).
-        boundaries: list[tuple[int, int]] = []
         with (
             self._tracer.span(
                 "drain.chunking", parent=drain_ctx, queries=len(flat_queries)
@@ -991,24 +968,23 @@ class SessionScheduler:
             if drain_ctx is not None
             else nullcontext()
         ):
-            if flat_queries:
-                if budget_ms is not None and len(flat_costs) == len(flat_queries):
-                    budget_units = (
-                        budget_ms / 1000.0
-                    ) / self.cost_model.seconds_per_unit
-                    groups = work_balanced_chunks(
-                        list(range(len(flat_queries))),
-                        flat_costs,
-                        budget_units,
-                        max_size=self.config.max_batch_size,
-                    )
-                    boundaries = [(group[0], group[-1] + 1) for group in groups]
-                else:
-                    size = self.config.max_batch_size
-                    boundaries = [
-                        (start, min(start + size, len(flat_queries)))
-                        for start in range(0, len(flat_queries), size)
-                    ]
+            if flat_costs:
+                budget_units = (
+                    self.config.drain_time_budget_ms / 1000.0
+                ) / self.cost_model.seconds_per_unit
+                groups = work_balanced_chunks(
+                    list(range(len(flat_queries))),
+                    flat_costs,
+                    budget_units,
+                    max_size=self.config.max_batch_size,
+                )
+                boundaries = [(group[0], group[-1] + 1) for group in groups]
+            else:
+                size = self.config.max_batch_size
+                boundaries = [
+                    (start, min(start + size, len(flat_queries)))
+                    for start in range(0, len(flat_queries), size)
+                ]
         chunks: list[
             tuple[QueryBatch, list[tuple[int, ...]], set[str], float | None]
         ] = []

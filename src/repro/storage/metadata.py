@@ -301,9 +301,7 @@ class MetadataStore:
         """
         if not ranges_list:
             return []
-        if self.dense_index is None or not all(
-            name in self.dense_index for ranges in ranges_list for name in ranges
-        ):
+        if not self._densely_indexed(ranges_list):
             position_of = self._position
             return [
                 np.array(
@@ -315,19 +313,12 @@ class MetadataStore:
                 )
                 for ranges in ranges_list
             ]
-        num_queries = len(ranges_list)
-        mask = np.broadcast_to(
-            self.occupancy > 0, (num_queries, len(self.cluster_ids))
-        ).copy()
-        for name in self._union_dimensions(ranges_list):
-            index = self.dense_index[name]
-            lows = np.full(num_queries, OPEN_LOW, dtype=np.int64)
-            highs = np.full(num_queries, OPEN_HIGH, dtype=np.int64)
-            for position, ranges in enumerate(ranges_list):
-                if name in ranges:
-                    lows[position], highs[position] = ranges[name]
-            mask &= index.overlap_mask_batch(lows, highs)
-        return [np.flatnonzero(row) for row in mask]
+        return [
+            np.flatnonzero(row)
+            for row in self._overlap_mask(
+                self._dimension_bounds(ranges_list), len(ranges_list)
+            )
+        ]
 
     def _covering_cluster_ids_scalar(
         self, ranges: Mapping[str, tuple[int, int]]
@@ -339,68 +330,67 @@ class MetadataStore:
     ) -> list["QueryCostStats"]:
         """Covered-vs-straddler work statistics for every query of a workload.
 
-        The covering sets come from :meth:`covering_positions_batch`; a
-        covering cluster counts as *covered* when its zone box lies fully
-        inside the query box on every queried dimension (an unqueried
-        dimension constrains nothing), as a *straddler* otherwise.  Row
-        volumes are occupancy sums, so the whole pass stays row-free — this
-        is the cost-model input of the serving layer's time-budgeted
-        scheduler.
+        A covering cluster (Equation 2, the mask
+        :meth:`covering_positions_batch` reads its positions from) counts as
+        *covered* when its zone box lies fully inside the query box on every
+        queried dimension (an unqueried dimension constrains nothing), as a
+        *straddler* otherwise.  The dense path reduces the ``(nq, nc)``
+        masks along the cluster axis — counts are row sums, straddler row
+        volumes one product with the occupancy vector — so the whole pass
+        stays row-free and loops over no query.  This is the cost-model
+        input of the serving layer's time-budgeted scheduler.
         """
         if not ranges_list:
             return []
-        positions_list = self.covering_positions_batch(ranges_list)
-        num_clusters = len(self.cluster_ids)
-        dense = self.dense_index is not None and all(
-            name in self.dense_index for ranges in ranges_list for name in ranges
-        )
-        if dense and num_clusters:
-            num_queries = len(ranges_list)
-            covered = np.ones((num_queries, num_clusters), dtype=bool)
-            for name in self._union_dimensions(ranges_list):
-                index = self.dense_index[name]
-                constrained = np.zeros(num_queries, dtype=bool)
-                lows = np.zeros(num_queries, dtype=np.int64)
-                highs = np.zeros(num_queries, dtype=np.int64)
-                for position, ranges in enumerate(ranges_list):
-                    if name in ranges:
-                        lows[position], highs[position] = ranges[name]
-                        constrained[position] = True
-                inside = (index.v_min[None, :] >= lows[:, None]) & (
-                    index.v_max[None, :] <= highs[:, None]
-                )
-                # Queries that do not constrain this dimension keep every
-                # cluster covered on it.
-                covered &= inside | ~constrained[:, None]
-            covered_rows_list = [
-                covered[query_index, positions]
-                for query_index, positions in enumerate(positions_list)
-            ]
-        else:
-            covered_rows_list = []
-            for positions, ranges in zip(positions_list, ranges_list):
-                flags = np.zeros(len(positions), dtype=bool)
-                for slot, position in enumerate(positions):
-                    bounds = self.global_entries[int(position)].bounds
-                    flags[slot] = all(
-                        name not in bounds
-                        or (bounds[name][0] >= low and bounds[name][1] <= high)
-                        for name, (low, high) in ranges.items()
-                    )
-                covered_rows_list.append(flags)
-        stats: list[QueryCostStats] = []
-        for positions, covered_mask in zip(positions_list, covered_rows_list):
-            rows = self.occupancy[positions]
-            covered_rows = int(rows[covered_mask].sum()) if len(positions) else 0
-            total_rows = int(rows.sum()) if len(positions) else 0
-            stats.append(
-                QueryCostStats(
-                    clusters_touched=int(len(positions)),
-                    clusters_covered=int(covered_mask.sum()),
-                    straddler_rows=total_rows - covered_rows,
-                )
+        if not self._densely_indexed(ranges_list):
+            return [self._cost_stats_scalar(ranges) for ranges in ranges_list]
+        bounds = self._dimension_bounds(ranges_list)
+        touched = self._overlap_mask(bounds, len(ranges_list))
+        straddling = np.zeros(touched.shape, dtype=bool)
+        for name, (lows, highs, _) in bounds.items():
+            index = self.dense_index[name]
+            # A query that leaves this dimension open holds the open
+            # interval, which contains every zone box.
+            straddling |= (index.v_min[None, :] < lows[:, None]) | (
+                index.v_max[None, :] > highs[:, None]
             )
-        return stats
+        straddling &= touched
+        touched_counts = touched.sum(axis=1)
+        covered_counts = touched_counts - straddling.sum(axis=1)
+        straddler_rows = straddling @ self.occupancy
+        return [
+            QueryCostStats(
+                clusters_touched=touched_count,
+                clusters_covered=covered_count,
+                straddler_rows=rows,
+            )
+            for touched_count, covered_count, rows in zip(
+                touched_counts.tolist(),
+                covered_counts.tolist(),
+                straddler_rows.tolist(),
+            )
+        ]
+
+    def _cost_stats_scalar(
+        self, ranges: Mapping[str, tuple[int, int]]
+    ) -> "QueryCostStats":
+        touched = covered = straddler_rows = 0
+        for entry in self.global_entries:
+            if not entry.overlaps(ranges):
+                continue
+            touched += 1
+            if all(
+                entry.bounds[name][0] >= low and entry.bounds[name][1] <= high
+                for name, (low, high) in ranges.items()
+            ):
+                covered += 1
+            else:
+                straddler_rows += entry.num_rows
+        return QueryCostStats(
+            clusters_touched=touched,
+            clusters_covered=covered,
+            straddler_rows=straddler_rows,
+        )
 
     def proportions(
         self, cluster_ids: Sequence[int], ranges: Mapping[str, tuple[int, int]]
@@ -443,9 +433,7 @@ class MetadataStore:
             )
         if not ranges_list:
             return []
-        if self.dense_index is None or not all(
-            name in self.dense_index for ranges in ranges_list for name in ranges
-        ):
+        if not self._densely_indexed(ranges_list):
             return [
                 self._proportions_scalar(
                     [self.cluster_ids[int(p)] for p in positions], ranges
@@ -455,16 +443,15 @@ class MetadataStore:
         num_queries = len(ranges_list)
         num_clusters = len(self.cluster_ids)
         result = np.ones((num_queries, num_clusters), dtype=float)
-        for name in sorted(self._union_dimensions(ranges_list)):
-            index = self.dense_index[name]
-            lows = np.full(num_queries, index.domain_low, dtype=np.int64)
-            highs = np.full(num_queries, index.domain_high, dtype=np.int64)
-            constrained = np.zeros(num_queries, dtype=bool)
-            for position, ranges in enumerate(ranges_list):
-                if name in ranges:
-                    lows[position], highs[position] = ranges[name]
-                    constrained[position] = True
-            factor = index.range_counts_batch(lows, highs) / self.nominal_size
+        bounds = self._dimension_bounds(ranges_list)
+        for name in sorted(bounds):
+            lows, highs, constrained = bounds[name]
+            # range_counts_batch clips the open interval of an unconstrained
+            # query to the dimension's domain.
+            factor = (
+                self.dense_index[name].range_counts_batch(lows, highs)
+                / self.nominal_size
+            )
             # Unconstrained queries contribute an exact factor of one on this
             # dimension, matching the scalar executor skipping it.
             factor[~constrained, :] = 1.0
@@ -486,15 +473,53 @@ class MetadataStore:
             dtype=float,
         )
 
+    def _densely_indexed(
+        self, ranges_list: Sequence[Mapping[str, tuple[int, int]]]
+    ) -> bool:
+        """Whether every queried dimension has a dense index (else: scalar path)."""
+        return self.dense_index is not None and all(
+            name in self.dense_index for ranges in ranges_list for name in ranges
+        )
+
     @staticmethod
-    def _union_dimensions(
+    def _dimension_bounds(
         ranges_list: Sequence[Mapping[str, tuple[int, int]]]
-    ) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for ranges in ranges_list:
-            for name in ranges:
-                seen.setdefault(name, None)
-        return tuple(seen)
+    ) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per queried dimension, every query's ``(lows, highs, constrained)``.
+
+        One pass over the range dicts serves all three dense passes.  A
+        query that does not constrain a dimension holds the open interval
+        ``[OPEN_LOW, OPEN_HIGH]`` there: it overlaps and contains every
+        zone box.  Dimensions come in first-seen order.
+        """
+        num_queries = len(ranges_list)
+        bounds: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        for position, ranges in enumerate(ranges_list):
+            for name, (low, high) in ranges.items():
+                entry = bounds.get(name)
+                if entry is None:
+                    entry = bounds[name] = (
+                        np.full(num_queries, OPEN_LOW, dtype=np.int64),
+                        np.full(num_queries, OPEN_HIGH, dtype=np.int64),
+                        np.zeros(num_queries, dtype=bool),
+                    )
+                entry[0][position] = low
+                entry[1][position] = high
+                entry[2][position] = True
+        return bounds
+
+    def _overlap_mask(
+        self,
+        bounds: Mapping[str, tuple[np.ndarray, np.ndarray, np.ndarray]],
+        num_queries: int,
+    ) -> np.ndarray:
+        """Equation 2 for a workload: the ``(nq, nc)`` covering-set mask."""
+        mask = np.broadcast_to(
+            self.occupancy > 0, (num_queries, len(self.cluster_ids))
+        ).copy()
+        for name, (lows, highs, _) in bounds.items():
+            mask &= self.dense_index[name].overlap_mask_batch(lows, highs)
+        return mask
 
     def cluster(self, cluster_id: int) -> ClusterMetadata:
         """Return the metadata of ``cluster_id``."""

@@ -26,9 +26,10 @@ from repro.config import (
     SystemConfig,
     TransportConfig,
 )
+from repro.core.accounting import split_query_budget
 from repro.core.system import FederatedAQPSystem
 from repro.errors import BudgetExhaustedError, ProtocolError
-from repro.federation.messages import QueryRequest
+from repro.federation.messages import AllocationMessage, QueryRequest
 from repro.query.model import RangeQuery
 from repro.storage.schema import Dimension, Schema
 from repro.storage.table import Table
@@ -154,6 +155,97 @@ class TestHitServesOriginalRelease:
         system.execute(QUERY, compute_exact=False)
         system.execute(QUERY, compute_exact=False)
         assert all(provider.num_open_sessions == 0 for provider in system.providers)
+
+
+class TestSessionStreams:
+    """A session's noise stream is built when a fresh release first needs it.
+
+    The stream is a pure function of its seed (the positional child seed or
+    the keyed ``seed_material``), so a hit that never draws builds nothing
+    and a late build draws what an early one would have.
+    """
+
+    BUDGET = split_query_budget(PrivacyConfig(epsilon=1.0, delta=1e-3))
+
+    @staticmethod
+    def _requests(first_id: int, seed_material=None) -> list[QueryRequest]:
+        return [
+            QueryRequest(
+                query_id=first_id + offset,
+                query=query,
+                sampling_rate=0.2,
+                seed_material=(
+                    None if seed_material is None else (*seed_material, offset)
+                ),
+            )
+            for offset, query in enumerate(WORKLOAD)
+        ]
+
+    def _round_trip(self, provider, requests, sample_size: int):
+        provider.prepare_summary_batch(requests, self.BUDGET.epsilon_allocation)
+        return self._answers(provider, requests, sample_size)
+
+    def _answers(self, provider, requests, sample_size: int):
+        hits: list[bool] = []
+        answers = provider.answer_batch(
+            [
+                AllocationMessage(
+                    query_id=request.query_id,
+                    provider_id=provider.provider_id,
+                    sample_size=sample_size,
+                )
+                for request in requests
+            ],
+            self.BUDGET,
+            reuse_out=hits,
+        )
+        provider.forget_batch([request.query_id for request in requests])
+        return answers, hits
+
+    def test_batch_hitting_in_both_phases_builds_no_generator(self, monkeypatch):
+        provider = _system(ENABLED).providers[0]
+        self._round_trip(provider, self._requests(0, seed_material=(7,)), 3)
+        built: list[object] = []
+        real = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        # Positional and keyed repeats alike: every summary and answer hits.
+        for requests in (
+            self._requests(100),
+            self._requests(200, seed_material=(8,)),
+        ):
+            _, hits = self._round_trip(provider, requests, 3)
+            assert hits == [True] * len(WORKLOAD)
+        assert built == []
+        # A miss still builds one stream per fresh session.
+        _, hits = self._round_trip(provider, self._requests(300), 4)
+        assert hits == [False] * len(WORKLOAD)
+        assert len(built) == len(WORKLOAD)
+
+    @pytest.mark.parametrize("seed_material", [None, (5, 9)])
+    def test_late_built_stream_draws_what_an_eager_one_would(self, seed_material):
+        # Summary hit, answer miss (a new sample size): the answer phase is
+        # the session's first draw.  The twin builds every stream at summary
+        # time instead; both must release the same bytes.
+        lazy = _system(ENABLED).providers[0]
+        eager = _system(ENABLED).providers[0]
+        for provider in (lazy, eager):
+            self._round_trip(provider, self._requests(0, seed_material), 3)
+        repeats = self._requests(100, seed_material)
+        for provider in (lazy, eager):
+            provider.prepare_summary_batch(repeats, self.BUDGET.epsilon_allocation)
+        assert all(session.rng is None for session in lazy._sessions.values())
+        eager._open_streams(list(eager._sessions.values()))
+        assert all(session.rng is not None for session in eager._sessions.values())
+        lazy_answers, lazy_hits = self._answers(lazy, repeats, 4)
+        eager_answers, eager_hits = self._answers(eager, repeats, 4)
+        assert lazy_hits == eager_hits == [False] * len(WORKLOAD)
+        assert lazy_answers == eager_answers
+        assert any(answer.report.local_noise != 0.0 for answer in lazy_answers)
 
 
 class TestBudgetCharging:

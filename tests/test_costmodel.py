@@ -5,7 +5,8 @@ Three layers under test:
 * :meth:`~repro.storage.metadata.MetadataStore.cost_stats_batch` — the
   zone-map-derived covered-vs-straddler statistics, checked against a
   brute-force pass over the global metadata entries (dense and scalar
-  paths must agree with it and with each other).
+  paths must agree with it and with each other, the latter as a property
+  over random workloads on a layout with empty clusters).
 * :class:`~repro.service.costmodel.CostModel` — unit totals follow the
   structural statistics (the executor pays straddler rows only) and the
   EWMA calibration converges toward observed chunk timings while recording
@@ -18,8 +19,12 @@ Three layers under test:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.config import SystemConfig
 from repro.core.system import FederatedAQPSystem
@@ -33,6 +38,9 @@ from repro.service.costmodel import (
     UNITS_PER_ROW,
     CostModel,
 )
+from repro.storage.cluster import Cluster
+from repro.storage.clustered_table import ClusteredTable
+from repro.storage.metadata import build_metadata
 from repro.storage.schema import Dimension, Schema
 from repro.storage.table import Table
 
@@ -84,6 +92,81 @@ def test_cost_stats_scalar_path_agrees_with_dense(metadata):
 
 def test_cost_stats_empty_workload(metadata):
     assert metadata.cost_stats_batch([]) == []
+
+
+PROPERTY_SCHEMA = Schema(
+    (Dimension("age", 0, 99), Dimension("hours", 0, 49), Dimension("dept", 0, 9))
+)
+
+
+def _store_with_empty_clusters():
+    """Five clusters, two of them zero-occupancy placeholders (one the tail)."""
+    rng = np.random.default_rng(19)
+    clusters = []
+    for cluster_id, rows in enumerate((120, 0, 75, 200, 0)):
+        # Narrow per-cluster value windows, so covered, straddling and
+        # disjoint clusters all occur under random query boxes.
+        low = 15 * cluster_id
+        table = Table(
+            PROPERTY_SCHEMA,
+            {
+                "age": rng.integers(low, low + 30, rows),
+                "hours": rng.integers(0, 50, rows),
+                "dept": rng.integers(cluster_id, cluster_id + 3, rows),
+            },
+        )
+        clusters.append(Cluster(cluster_id=cluster_id, rows=table, nominal_size=200))
+    return build_metadata(ClusteredTable(clusters=tuple(clusters), cluster_size=200))
+
+
+DENSE_STORE = _store_with_empty_clusters()
+SCALAR_STORE = replace(DENSE_STORE, dense_index=None)
+
+
+@st.composite
+def _ranges(draw):
+    """One query's range dict: any non-empty subset of the dimensions (the
+    rest stay unconstrained), intervals anywhere in or past the domain."""
+    names = draw(
+        st.lists(
+            st.sampled_from(PROPERTY_SCHEMA.dimension_names),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        )
+    )
+    ranges = {}
+    for name in names:
+        dimension = PROPERTY_SCHEMA.dimension(name)
+        low = draw(st.integers(dimension.low - 5, dimension.high + 5))
+        width = draw(st.integers(0, dimension.high - dimension.low + 10))
+        ranges[name] = (low, low + width)
+    return ranges
+
+
+@given(st.lists(_ranges(), min_size=0, max_size=12))
+def test_cost_stats_dense_path_equals_scalar_fallback(ranges_list):
+    # Covers the empty list, nq = 1, and batches mixing queries that
+    # constrain a dimension with queries that leave it open.
+    dense = DENSE_STORE.cost_stats_batch(ranges_list)
+    scalar = SCALAR_STORE.cost_stats_batch(ranges_list)
+    assert len(dense) == len(ranges_list)
+    assert [
+        (stat.clusters_touched, stat.clusters_covered, stat.straddler_rows)
+        for stat in dense
+    ] == [
+        (stat.clusters_touched, stat.clusters_covered, stat.straddler_rows)
+        for stat in scalar
+    ]
+    # A batch answers each query as the query alone would be answered.
+    for ranges, stat in zip(ranges_list, dense):
+        assert DENSE_STORE.cost_stats_batch([ranges]) == [stat]
+
+
+def test_cost_stats_never_touch_an_empty_cluster():
+    (stat,) = DENSE_STORE.cost_stats_batch([{"hours": (0, 49)}])
+    assert stat.clusters_touched == 3  # the two placeholders hold no rows
+    assert stat.clusters_covered == 3 and stat.straddler_rows == 0
 
 
 def _small_system() -> FederatedAQPSystem:

@@ -616,7 +616,44 @@ def test_priorities_do_not_change_answer_values():
     assert run({"alice": 1, "bob": 1}) == run({"alice": 1, "bob": 9})
 
 
-def test_deferred_resubmission_reestimates_after_compaction():
+def _spy_on_pricing(monkeypatch, scheduler):
+    """Record every ``CostModel.estimate`` call (queries, returned units), the
+    cost list of every ``work_balanced_chunks`` call, and the number of
+    ``cost_stats_batch`` calls each provider served."""
+    from repro.service import scheduler as scheduler_module
+
+    estimates: list[tuple[list, list[float]]] = []
+    packed: list[list[float]] = []
+    stats_calls = {provider.provider_id: 0 for provider in scheduler.system.providers}
+    real_estimate = scheduler.cost_model.estimate
+    real_chunks = scheduler_module.work_balanced_chunks
+
+    def estimate(queries):
+        result = real_estimate(queries)
+        estimates.append((list(queries), [entry.units for entry in result]))
+        return result
+
+    def chunks(items, costs, budget, **kwargs):
+        packed.append(list(costs))
+        return real_chunks(items, costs, budget, **kwargs)
+
+    def counting(provider, real):
+        def cost_stats_batch(queries):
+            stats_calls[provider.provider_id] += 1
+            return real(queries)
+
+        return cost_stats_batch
+
+    monkeypatch.setattr(scheduler.cost_model, "estimate", estimate)
+    monkeypatch.setattr(scheduler_module, "work_balanced_chunks", chunks)
+    for provider in scheduler.system.providers:
+        monkeypatch.setattr(
+            provider, "cost_stats_batch", counting(provider, provider.cost_stats_batch)
+        )
+    return estimates, packed, stats_calls
+
+
+def test_deferred_resubmission_reestimates_after_compaction(monkeypatch):
     # The staleness regression: a submission parked before an ingest +
     # compaction must be packed with costs from the *current* layout, not
     # the zone maps it was priced under when deferred.
@@ -631,9 +668,8 @@ def test_deferred_resubmission_reestimates_after_compaction():
     )
     receipt = scheduler.submit("poor", [QA])
     assert receipt.status == "deferred"
-    parked = scheduler._deferred[0]
-    stale_signature = parked.cost_signature
-    assert stale_signature == scheduler.cost_model.layout_signature()
+    stale_signature = scheduler.cost_model.layout_signature()
+    stale_costs = [entry.units for entry in scheduler.cost_model.estimate([QA])]
     # The layout moves underneath the parked submission.
     rng = np.random.default_rng(11)
     rows = Table(
@@ -642,14 +678,60 @@ def test_deferred_resubmission_reestimates_after_compaction():
     )
     system.ingest(rows)
     system.compact()
-    fresh_signature = scheduler.cost_model.layout_signature()
-    assert fresh_signature != stale_signature
+    assert scheduler.cost_model.layout_signature() != stale_signature
+    fresh_costs = [entry.units for entry in scheduler.cost_model.estimate([QA])]
+    assert fresh_costs != stale_costs
     # Another tenant's traffic makes the parked predicate free; the next
-    # drain re-admits it and must re-estimate before packing.
+    # drain re-admits it and must pack it with an estimate of this layout.
     scheduler.serve([("rich", [QA])])
+    estimates, packed, _ = _spy_on_pricing(monkeypatch, scheduler)
     answers = scheduler.drain()
     assert [a.tenant_id for a in answers] == ["poor"]
-    assert parked.cost_signature == fresh_signature
+    assert estimates == [([QA], fresh_costs)]
+    assert packed == [fresh_costs]
+
+
+def test_left_behind_submission_is_reestimated_on_the_next_drain(monkeypatch):
+    scheduler = SessionScheduler(
+        make_system(),
+        registry_for("alice", "bob"),
+        config=ServiceConfig(max_queries_per_drain=1, drain_time_budget_ms=50.0),
+    )
+    estimates, packed, _ = _spy_on_pricing(monkeypatch, scheduler)
+    scheduler.submit("alice", [QA])
+    scheduler.submit("bob", [QB])
+    assert estimates == []
+    assert [a.tenant_id for a in scheduler.drain()] == ["alice"]
+    assert [a.tenant_id for a in scheduler.drain()] == ["bob"]
+    # One estimate per drain, of exactly the work that drain admitted: the
+    # submission the cap left behind is priced by the drain that runs it.
+    assert [queries for queries, _ in estimates] == [[QA], [QB]]
+    assert packed == [units for _, units in estimates]
+
+
+def test_no_time_budget_means_no_estimate_calls(monkeypatch):
+    scheduler = SessionScheduler(make_system(), registry_for("alice", "bob"))
+    estimates, packed, stats_calls = _spy_on_pricing(monkeypatch, scheduler)
+    scheduler.serve([("alice", [QA, QB]), ("bob", [QC])])
+    assert estimates == [] and packed == []
+    assert set(stats_calls.values()) == {0}
+
+
+def test_submit_reads_no_provider_metadata_and_a_drain_reads_it_once(monkeypatch):
+    # CostModel.estimate must run where provider state is quiescent: only
+    # under the drain lock, never from submit() beside a compacting drain.
+    scheduler = SessionScheduler(
+        make_system(),
+        registry_for("alice", "bob"),
+        config=ServiceConfig(drain_time_budget_ms=50.0),
+    )
+    _, _, stats_calls = _spy_on_pricing(monkeypatch, scheduler)
+    scheduler.submit("alice", [QA, QB])
+    scheduler.submit("bob", [QC])
+    scheduler.submit("alice", [QD])
+    assert set(stats_calls.values()) == {0}
+    assert len(scheduler.drain()) == 3
+    assert set(stats_calls.values()) == {1}
 
 
 def test_latency_histogram_percentiles():

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StorageError
+from repro.experiments.scenarios import adult_scenario, amazon_scenario
+from repro.query.model import Aggregation
 from repro.storage.cluster import Cluster
 from repro.storage.clustered_table import ClusteredTable
 from repro.storage.metadata import build_metadata
@@ -163,3 +167,48 @@ class TestMetadata:
         proportions = store.proportions(ids, {"x": (low, high)})
         assert np.all(proportions >= 0)
         assert np.all(proportions <= 1)
+
+
+# sha256 over every provider's covering positions and Equation-1 proportions
+# for a fixed 72-query workload, recorded before the three dense passes
+# moved onto one shared per-dimension bounds helper.  Both outputs feed
+# released values (N^Q, Avg(R), the sampling weights), so the refactor has to
+# leave every byte where it was.
+PINNED_DENSE_PASSES = {
+    "adult": (
+        adult_scenario,
+        20_000,
+        "59e2e05161bd9bfbac9771f58425d3fc9504a5f30f617599d74b53c278102b8e",
+    ),
+    "amazon": (
+        amazon_scenario,
+        40_000,
+        "a3acb81164f22bb704fbeeca8d6ee15cbf1efe647369d7378eb03d9dfd69b5fb",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DENSE_PASSES))
+def test_covering_and_proportions_match_pinned_outputs(name):
+    factory, num_rows, expected = PINNED_DENSE_PASSES[name]
+    scenario = factory(num_rows=num_rows, seed=0)
+    generator = scenario.workload_generator(5)
+    queries = [
+        query
+        for dimensions in (1, 2, 3)
+        for query in generator.generate(24, dimensions, Aggregation.COUNT)
+    ]
+    ranges = [query.range_tuples() for query in queries]
+    sha = hashlib.sha256()
+    for provider in scenario.system.providers:
+        store = provider.metadata
+        positions = store.covering_positions_batch(ranges)
+        proportions = store.proportions_at_positions_batch(positions, ranges)
+        for covering, values in zip(positions, proportions):
+            sha.update(covering.astype(np.int64).tobytes())
+            sha.update(values.tobytes())
+        # A batch is answered as its queries alone would be.
+        assert [p.tolist() for p in store.covering_positions_batch(ranges[:1])] == [
+            positions[0].tolist()
+        ]
+    assert sha.hexdigest() == expected
