@@ -34,6 +34,7 @@ __all__ = [
     "answer_key",
     "key_query_ranges",
     "key_delta_watermark",
+    "release_survives_fold",
 ]
 
 
@@ -127,3 +128,30 @@ def key_delta_watermark(key: tuple) -> int:
     watermark; answer keys embed the snapshot they were evaluated at.
     """
     return int(key[6]) if key[0] == "answer" else 0
+
+
+def release_survives_fold(key: tuple, changed_bounds: dict) -> bool:
+    """Is a cached release still exact after a compaction fold?
+
+    ``changed_bounds`` is the fold's changed region
+    (:func:`repro.ingest.compaction.changed_bounds`).  Two staleness sources
+    compose:
+
+    * an answer evaluated at a non-zero delta watermark embedded rows
+      that are now part of the clustered table — its key can never be
+      probed again (post-fold watermarks restart at zero), so it is
+      dropped rather than risking a collision with a future delta of
+      the same length;
+    * a release whose query box intersects the changed region on every
+      dimension could observe a re-clustered or freshly added cluster —
+      a fresh release might differ, so it is dropped.  Everything else
+      would be re-released bit-identically (same covering positions,
+      proportions, and ``Q(C)`` values) and is retained.
+    """
+    if key_delta_watermark(key) > 0:
+        return False
+    for name, (changed_low, changed_high) in changed_bounds.items():
+        for range_name, low, high in key_query_ranges(key):
+            if range_name == name and (high < changed_low or low > changed_high):
+                return True
+    return False

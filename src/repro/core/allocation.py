@@ -21,9 +21,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from ..errors import AllocationError
 
-__all__ = ["AllocationProblem", "AllocationResult", "solve_allocation"]
+__all__ = [
+    "AllocationProblem",
+    "AllocationResult",
+    "solve_allocation",
+    "solve_allocation_batch",
+]
+
+# Largest |noisy cluster count| the batch solver takes: far beyond any real
+# cluster count plus Laplace noise, and small enough that every provider's
+# capacity — and their sum — is an exact int64.
+_MAX_NOISY_COUNT = 2.0**50
 
 
 @dataclass(frozen=True)
@@ -103,3 +115,56 @@ def solve_allocation(
         AllocationResult(provider_id=problem.provider_id, sample_size=allocations[i])
         for i, problem in enumerate(problems)
     ]
+
+
+def solve_allocation_batch(
+    noisy_cluster_counts: np.ndarray,
+    noisy_avg_proportions: np.ndarray,
+    sampling_rate: float,
+    *,
+    min_allocation: int = 1,
+) -> np.ndarray:
+    """:func:`solve_allocation` for a whole workload at once.
+
+    Both inputs are ``(queries, providers)`` float matrices — row ``q``
+    holds the noisy summaries every provider released for query ``q`` — and
+    the result is the ``(queries, providers)`` int64 matrix of sample sizes,
+    row for row what the scalar solver (the reference the property tests
+    compare against, and what the reuse planner's per-query preview calls)
+    returns.  The greedy waterfill becomes a stable descending ``argsort``
+    per row (ties keep provider order, like ``sorted(..., reverse=True)``)
+    and a clipped running sum of the headrooms.
+
+    Raises :class:`~repro.errors.AllocationError` for a non-finite count or
+    one beyond ``2**50`` in magnitude, where the scalar solver would fail on
+    ``int(round(nan))`` or keep computing with integers no int64 holds.
+    """
+    counts = np.asarray(noisy_cluster_counts, dtype=float)
+    averages = np.asarray(noisy_avg_proportions, dtype=float)
+    if counts.ndim != 2 or counts.shape != averages.shape or counts.shape[1] == 0:
+        raise AllocationError(
+            "summaries must be two aligned (queries, providers) matrices with "
+            "at least one provider"
+        )
+    if not 0 < sampling_rate < 1:
+        raise AllocationError(f"sampling_rate must be in (0, 1), got {sampling_rate}")
+    if min_allocation < 1:
+        raise AllocationError(f"min_allocation must be >= 1, got {min_allocation}")
+    if not np.all(np.abs(counts) < _MAX_NOISY_COUNT):
+        raise AllocationError(
+            "noisy cluster counts must be finite and below 2**50 in magnitude"
+        )
+    floor = min_allocation * counts.shape[1]
+    # np.rint and Python's round() both round halves to even.
+    capacities = np.maximum(min_allocation, np.rint(counts).astype(np.int64))
+    totals = capacities.sum(axis=1)
+    budgets = np.rint(sampling_rate * totals).astype(np.int64)
+    budgets = np.minimum(np.maximum(budgets, floor), totals)
+    order = np.argsort(-averages, axis=1, kind="stable")
+    rows = np.arange(counts.shape[0])[:, None]
+    headrooms = (capacities - min_allocation)[rows, order]
+    granted_before = np.cumsum(headrooms, axis=1) - headrooms
+    grants = np.minimum(np.maximum((budgets - floor)[:, None] - granted_before, 0), headrooms)
+    allocations = np.empty_like(capacities)
+    allocations[rows, order] = min_allocation + grants
+    return allocations

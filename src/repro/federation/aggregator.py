@@ -51,10 +51,12 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, TypeVar
 
+import numpy as np
+
 from ..cache.planner import ReusePlan, ReusePlanner
 from ..config import SystemConfig
 from ..core.accounting import QueryBudget
-from ..core.allocation import AllocationProblem, solve_allocation
+from ..core.allocation import solve_allocation_batch
 from ..core.result import ExecutionTrace, ProviderReport
 from ..dp.mechanisms import LaplaceMechanism
 from ..errors import (
@@ -228,6 +230,10 @@ class Aggregator:
             # one schedule drives one deterministic chaos run end to end.
             self.network.fault_injector = self._fault_injector
         self._transport = self._open_transport()
+        self._reuse_planner = ReusePlanner(
+            providers=self.providers,
+            min_allocation=self.config.sampling.min_allocation,
+        )
         self._consecutive_failures: dict[int, int] = {}
         self._quarantined: dict[int, str] = {}
         self._degraded_batches = 0
@@ -751,11 +757,7 @@ class Aggregator:
         """
         rate = self.config.sampling.sampling_rate if sampling_rate is None else sampling_rate
         smc = self.config.use_smc_for_result if use_smc is None else use_smc
-        planner = ReusePlanner(
-            providers=self.providers,
-            min_allocation=self.config.sampling.min_allocation,
-        )
-        return planner.preview(queries, budget, rate, use_smc=smc)
+        return self._reuse_planner.preview(queries, budget, rate, use_smc=smc)
 
     @staticmethod
     def _query_charge(
@@ -1044,29 +1046,26 @@ class Aggregator:
         survivors, exactly as the protocol would with a smaller federation.
         """
         survivors = sorted(summaries)
-        per_provider: dict[int, list[AllocationMessage]] = {
-            index: [] for index in survivors
-        }
-        for index, request in enumerate(requests):
-            problems = [
-                AllocationProblem(
-                    provider_id=summaries[provider_index][index].provider_id,
-                    noisy_cluster_count=summaries[provider_index][index].noisy_cluster_count,
-                    noisy_avg_proportion=summaries[provider_index][index].noisy_avg_proportion,
+        columns = [summaries[provider_index] for provider_index in survivors]
+        sample_sizes = solve_allocation_batch(
+            np.array([[s.noisy_cluster_count for s in column] for column in columns]).T,
+            np.array([[s.noisy_avg_proportion for s in column] for column in columns]).T,
+            rate,
+            min_allocation=self.config.sampling.min_allocation,
+        )
+        per_provider: dict[int, list[AllocationMessage]] = {}
+        for column, provider_index in enumerate(survivors):
+            provider_id = self.providers[provider_index].provider_id
+            per_provider[provider_index] = [
+                AllocationMessage(
+                    query_id=request.query_id,
+                    provider_id=provider_id,
+                    sample_size=sample_size,
                 )
-                for provider_index in survivors
+                for request, sample_size in zip(
+                    requests, sample_sizes[:, column].tolist()
+                )
             ]
-            results = solve_allocation(
-                problems, rate, min_allocation=self.config.sampling.min_allocation
-            )
-            for provider_index, result in zip(survivors, results):
-                per_provider[provider_index].append(
-                    AllocationMessage(
-                        query_id=request.query_id,
-                        provider_id=result.provider_id,
-                        sample_size=result.sample_size,
-                    )
-                )
         if survivors and per_provider[survivors[0]]:
             # Allocations have a constant size: one bulk send covers the
             # per-query messages to every surviving provider.

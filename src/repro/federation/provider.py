@@ -54,22 +54,18 @@ from typing import Sequence
 
 import numpy as np
 
-from ..cache.key import answer_key, key_delta_watermark, key_query_ranges, summary_key
+from ..cache.key import answer_key, release_survives_fold, summary_key
 from ..cache.store import ReleaseCache
 from ..config import DEFAULT_INGEST, CacheConfig, IngestConfig
 from ..core.accounting import QueryBudget
 from ..core.result import ProviderReport
-from ..core.sensitivity import (
-    avg_proportion_sensitivity,
-    delta_r,
-    estimator_smooth_sensitivities,
-    sampling_probability_sensitivity,
-)
-from ..dp.mechanisms import LaplaceMechanism, laplace_noise_scale
+from ..core.sensitivity import avg_proportion_sensitivity, delta_r
+from ..dp.mechanisms import laplace_noise_scale
 from ..errors import ProtocolError
 from ..ingest.compaction import (
     CompactionPolicy,
     CompactionReport,
+    changed_bounds,
     fold_into_clustered,
     incremental_eligible,
 )
@@ -86,7 +82,15 @@ from ..storage.metadata import (
     patch_metadata,
 )
 from ..storage.table import Table
+from ..utils.ragged import segment_lengths, segment_offsets
 from ..utils.rng import RngLike, derive_rng
+from .dpmath import (
+    dedup_pairs,
+    hansen_hurwitz,
+    sample_clusters,
+    segment_sums_exact,
+    segment_sums_pairwise,
+)
 from .messages import AllocationMessage, EstimateMessage, QueryRequest, SummaryMessage
 
 __all__ = ["DataProvider", "LocalAnswer"]
@@ -135,26 +139,6 @@ class LocalAnswer:
 
     message: EstimateMessage
     report: ProviderReport
-
-
-@dataclass
-class _AnswerPlan:
-    """Planned local answer for one query, before ``Q(C)`` evaluation.
-
-    For approximating queries, :meth:`DataProvider._select_clusters` fills
-    ``selection`` (the Exponential-Mechanism distribution — the
-    Hansen-Hurwitz weights), ``selected`` (the with-replacement draw), the
-    needed/unique cluster positions, and the clamped ``sample_size``.
-    """
-
-    allocation: AllocationMessage
-    session: _QuerySession
-    exact: bool
-    needed_positions: np.ndarray
-    selected: np.ndarray | None = None
-    selection: np.ndarray | None = None
-    unique_positions: np.ndarray | None = None
-    sample_size: int = 0
 
 
 @dataclass
@@ -467,12 +451,9 @@ class DataProvider:
             first_affected = 0
             self._build_layout()
         self._layout_epoch += 1
-        changed_bounds = self._changed_bounds(
-            old_layout, self.clustered.layout(), first_affected
-        )
+        changed = changed_bounds(old_layout, self.clustered.layout(), first_affected)
         purged, retained = self.cache.rekey_epoch(
-            self._layout_epoch,
-            lambda key: self._release_survives_fold(key, changed_bounds),
+            self._layout_epoch, lambda key: release_survives_fold(key, changed)
         )
         self._notify_layout_change()
         return CompactionReport(
@@ -486,54 +467,6 @@ class DataProvider:
             cache_entries_purged=purged,
             cache_entries_retained=retained,
         )
-
-    @staticmethod
-    def _changed_bounds(old_layout, new_layout, first_affected: int) -> dict:
-        """Bounding box of every cluster the fold removed, rewrote, or added.
-
-        Per dimension, the union of the zone bounds of the old and new
-        clusters at positions ``>= first_affected`` (empty clusters carry
-        inverted sentinels and contribute nothing).  A query box disjoint
-        from this region on any dimension cannot have covered a changed
-        cluster before the fold nor cover one after it.
-        """
-        bounds: dict[str, tuple[int, int]] = {}
-        for name in new_layout.columns:
-            lows: list[int] = []
-            highs: list[int] = []
-            for layout in (old_layout, new_layout):
-                nonempty = layout.cluster_rows[first_affected:] > 0
-                if nonempty.any():
-                    lows.append(int(layout.zone_min[name][first_affected:][nonempty].min()))
-                    highs.append(int(layout.zone_max[name][first_affected:][nonempty].max()))
-            if lows:
-                bounds[name] = (min(lows), max(highs))
-        return bounds
-
-    @staticmethod
-    def _release_survives_fold(key: tuple, changed_bounds: dict) -> bool:
-        """Is a cached release still exact after the fold?
-
-        Two staleness sources compose:
-
-        * an answer evaluated at a non-zero delta watermark embedded rows
-          that are now part of the clustered table — its key can never be
-          probed again (post-fold watermarks restart at zero), so it is
-          dropped rather than risking a collision with a future delta of
-          the same length;
-        * a release whose query box intersects the changed region on every
-          dimension could observe a re-clustered or freshly added cluster —
-          a fresh release might differ, so it is dropped.  Everything else
-          would be re-released bit-identically (same covering positions,
-          proportions, and ``Q(C)`` values) and is retained.
-        """
-        if key_delta_watermark(key) > 0:
-            return False
-        for name, (changed_low, changed_high) in changed_bounds.items():
-            for range_name, low, high in key_query_ranges(key):
-                if range_name == name and (high < changed_low or low > changed_high):
-                    return True
-        return False
 
     # -- cache peeks (reuse planner) -------------------------------------------
 
@@ -807,13 +740,9 @@ class DataProvider:
     ) -> list[LocalAnswer]:
         """Answer a workload locally with vectorised sampling and evaluation.
 
-        Per-query EM cluster sampling is semantically identical to the
-        single-query path (each query draws from its own session stream), but
-        the selection distributions of all queries are computed in one
-        flattened pass, the exact per-cluster values for all
-        (query, needed-cluster) pairs are evaluated with one boolean-mask +
-        segmented-reduction pass, and the Hansen-Hurwitz / smooth-sensitivity
-        arithmetic of the whole batch runs flattened as well.
+        Each query draws from its own session stream exactly as a batch of
+        one would; everything else runs once per batch over flat arrays plus
+        offsets (:meth:`_answer_fresh`, :mod:`.dpmath`).
 
         Parameters
         ----------
@@ -908,28 +837,11 @@ class DataProvider:
                 pending[key] = (index, [])
             fresh.append(index)
         if fresh:
-            fresh_sessions = [sessions[index] for index in fresh]
-            self._open_streams(fresh_sessions)
-            self._materialize_sessions(fresh_sessions)
-            plans: list[_AnswerPlan] = []
-            approx_plans: list[_AnswerPlan] = []
-            for index in fresh:
-                session = sessions[index]
-                plan = _AnswerPlan(
-                    allocation=allocations[index],
-                    session=session,
-                    exact=int(session.covering_positions.size) < self.n_min,
-                    needed_positions=session.covering_positions,
-                )
-                plans.append(plan)
-                if not plan.exact:
-                    approx_plans.append(plan)
-            if approx_plans:
-                self._select_clusters(approx_plans, budget.epsilon_sampling)
-            values_list = self._needed_values(plans)
-            delta_values, delta_scanned = self._delta_contributions(plans)
-            answers = self._assemble_answers(
-                plans, values_list, budget, use_smc, delta_values, delta_scanned
+            answers = self._answer_fresh(
+                [allocations[index] for index in fresh],
+                [sessions[index] for index in fresh],
+                budget,
+                use_smc,
             )
             for index, answer in zip(fresh, answers):
                 results[index] = answer
@@ -963,308 +875,203 @@ class DataProvider:
         The one vectorised metadata pass shared by both protocol steps: the
         summary phase materialises its fresh (cache-missing) queries here,
         and the answer phase calls it again for sessions whose summary was
-        a cache hit but whose answer needs a fresh release.
+        a cache hit but whose answer needs a fresh release.  Each session
+        keeps views into the pass's flat arrays, and its ``proportions_sum``
+        is the pairwise sum of its own slice (see :mod:`.dpmath`, trap 1).
         """
         lazy = [session for session in sessions if session.covering_positions is None]
         if not lazy:
             return
-        ranges_list = [session.query.range_tuples() for session in lazy]
-        positions_list = self.metadata.covering_positions_batch(ranges_list)
-        proportions_list = self.metadata.proportions_at_positions_batch(
-            positions_list, ranges_list
+        positions, proportions, counts = self._covering_pass(
+            [session.query.range_tuples() for session in lazy]
         )
-        for session, positions, proportions in zip(lazy, positions_list, proportions_list):
-            session.covering_positions = positions
-            session.proportions = proportions
-            session.proportions_sum = (
-                float(proportions.sum()) if positions.size else 0.0
-            )
+        offsets = segment_offsets(counts)
+        bounds = offsets.tolist()
+        sums = segment_sums_pairwise(proportions, offsets)
+        for session, start, stop, total in zip(lazy, bounds[:-1], bounds[1:], sums):
+            session.covering_positions = positions[start:stop]
+            session.proportions = proportions[start:stop]
+            session.proportions_sum = total
 
-    def _select_clusters(
-        self, plans: Sequence[_AnswerPlan], epsilon_sampling: float
-    ) -> None:
-        """Algorithm-2 DP cluster sampling for every approximating query.
+    def _covering_pass(
+        self, ranges_list: Sequence[dict]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat ``(positions, proportions, counts)`` of every query's ``C^Q``."""
+        positions = self.metadata.covering_positions_batch(ranges_list)
+        proportions = self.metadata.proportions_at_positions_batch(positions, ranges_list)
+        return positions.flat, proportions.flat, positions.counts
 
-        The pps probabilities (with the uniform fallback and probability
-        floor) and the Exponential-Mechanism selection distributions of all
-        queries are computed on one flattened array — per-query reductions
-        operate on contiguous slices, so the distributions are bit-identical
-        for any batching of the same queries.  The actual selections are then
-        drawn per query from that query's own session stream (inverse-CDF
-        sampling), preserving the sequential draw order.  The scalar
-        reference for the distribution math is
-        :meth:`repro.sampling.em_sampler.EMClusterSampler.selection_distribution`,
-        and a regression test pins the two against each other.
-        """
-        proportions_list = [plan.session.proportions for plan in plans]
-        lengths = np.array([p.size for p in proportions_list], dtype=np.int64)
-        boundaries = np.zeros(lengths.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=boundaries[1:])
-        flat = np.concatenate(proportions_list)
-        sizes = np.array(
-            [
-                max(1, min(plan.allocation.sample_size, int(length)))
-                for plan, length in zip(plans, lengths)
-            ],
-            dtype=np.int64,
+    def _query_cluster_values(
+        self, batch: QueryBatch, pair_positions: np.ndarray, offsets: np.ndarray
+    ) -> np.ndarray:
+        """Exact ``Q(C)`` of each query's requested clusters (flat + offsets)."""
+        return self.clustered.layout().query_cluster_values(
+            batch, pair_positions, offsets
         )
-        totals = np.array([plan.session.proportions_sum for plan in plans])
-        pps = flat / np.repeat(np.where(totals > 0.0, totals, 1.0), lengths)
-        for i in np.flatnonzero(totals <= 0.0):
-            # Uniform fallback: the metadata approximation found no matching
-            # rows in any covering cluster.
-            pps[boundaries[i] : boundaries[i + 1]] = 1.0 / float(lengths[i])
-        pps = np.maximum(pps, 1e-12)
-        # Segmented reductions over the whole batch × cluster matrix in
-        # single ufunc calls (every segment is non-empty: approximating
-        # queries have >= n_min >= 1 covering clusters).  reduceat sums a
-        # segment left to right, so each query's reduction depends only on
-        # its own contiguous slice — bit-identical for any batching.
-        segment_starts = boundaries[:-1]
-        pps_sums = np.add.reduceat(pps, segment_starts)
-        pps = pps / np.repeat(pps_sums, lengths)
-        delta_p = sampling_probability_sensitivity(self.n_min)
-        exponents = pps * np.repeat(epsilon_sampling / sizes, lengths) / (2.0 * delta_p)
-        maxima = np.maximum.reduceat(exponents, segment_starts)
-        exponents -= np.repeat(maxima, lengths)
-        weights = np.exp(exponents)
-        weight_sums = np.add.reduceat(weights, segment_starts)
-        selection = weights / np.repeat(weight_sums, lengths)
-        for i, plan in enumerate(plans):
-            plan.selection = selection[boundaries[i] : boundaries[i + 1]]
-            cdf = np.cumsum(plan.selection)
-            draws = plan.session.rng.random(int(sizes[i])) * cdf[-1]
-            plan.selected = np.minimum(
-                np.searchsorted(cdf, draws, side="right"), int(lengths[i]) - 1
-            )
-            plan.sample_size = int(sizes[i])
-            plan.needed_positions = plan.session.covering_positions[plan.selected]
-            plan.unique_positions = np.unique(plan.needed_positions)
 
     def _delta_contributions(
-        self, plans: Sequence[_AnswerPlan]
+        self, sessions: Sequence[_QuerySession]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Exact delta-store sums for every plan, at its pinned watermark.
+        """Exact delta-store sums for every session, at its pinned watermark.
 
-        Plans pinned at watermark zero take no delta work at all (the fast
+        Sessions pinned at watermark zero take no delta work at all (the fast
         path keeps a delta-free provider bit-identical to the pre-ingest
         engine); the rest read exactly their snapshot's prefix of the
         append buffer through the dense mask kernel.
         """
-        if not any(plan.session.delta_watermark for plan in plans):
-            zeros = np.zeros(len(plans), dtype=np.int64)
+        if not any(session.delta_watermark for session in sessions):
+            zeros = np.zeros(len(sessions), dtype=np.int64)
             return zeros, zeros.copy()
         return self.delta.query_values(
-            [plan.session.query for plan in plans],
-            [plan.session.delta_watermark for plan in plans],
+            [session.query for session in sessions],
+            [session.delta_watermark for session in sessions],
         )
 
-    def _needed_values(self, plans: Sequence[_AnswerPlan]) -> list[np.ndarray]:
-        """Exact ``Q(C)`` per plan, aligned with each plan's needed positions.
-
-        One boolean-mask + segmented-reduction pass over exactly the rows of
-        the (query, needed-cluster) pairs serves every query of the batch; a
-        batch of one touches exactly the clusters the per-cluster loop would
-        have scanned, and a batch of many shares the single vectorised pass.
-        """
-        batch = QueryBatch(tuple(plan.session.query for plan in plans))
-        positions_per_query = [
-            plan.needed_positions if plan.exact else plan.unique_positions
-            for plan in plans
-        ]
-        values_list = self.clustered.layout().query_cluster_values(
-            batch, positions_per_query
-        )
-        values: list[np.ndarray] = []
-        for plan, unique_values in zip(plans, values_list):
-            if plan.exact or plan.needed_positions.size == 0:
-                values.append(unique_values)
-                continue
-            # Map the with-replacement selection order back onto the unique
-            # cluster values (unique_positions is sorted by construction).
-            indices = np.searchsorted(plan.unique_positions, plan.needed_positions)
-            values.append(unique_values[indices])
-        return values
-
-    def _assemble_answers(
+    def _answer_fresh(
         self,
-        plans: Sequence[_AnswerPlan],
-        values_list: Sequence[np.ndarray],
+        allocations: Sequence[AllocationMessage],
+        sessions: Sequence[_QuerySession],
         budget: QueryBudget,
         use_smc: bool,
-        delta_values: np.ndarray,
-        delta_scanned: np.ndarray,
     ) -> list[LocalAnswer]:
-        """Build every query's local answer, flattening the estimator math.
+        """Sample, evaluate and release the queries that need a fresh answer.
 
-        The Hansen-Hurwitz terms ``Q(C)/p`` and the Theorem-5.4 smooth
-        sensitivities of all approximating queries are computed on one
-        flattened array; per-query reductions use contiguous slices so the
-        results are bit-identical for any batching.  Noise draws happen per
-        query from that query's session stream, in allocation order.
+        A query with fewer than ``N_min`` covering clusters is answered
+        exactly over all of them; the others draw clusters with the
+        Exponential Mechanism.  Either way the batch travels as flat arrays
+        plus offsets (see :mod:`.dpmath`): one dedup of the needed
+        (query, cluster) pairs, one ``Q(C)`` kernel call over them, one
+        Hansen-Hurwitz pass; the closing loop keeps only each query's
+        Laplace draw from its own stream and the message construction.
 
-        ``delta_values`` is each plan's exact sum over its pinned delta
-        snapshot; it is added to the estimate *before* the noise draw, and
-        — for approximating queries whose snapshot is non-empty — the
-        smooth sensitivity is floored at 1, since one delta individual
-        changes the exact component by exactly 1 (the constant bound 1 is
-        trivially beta-smooth, so ``max(smooth, 1)`` remains a valid smooth
-        upper bound of the combined release; the exact path already uses
-        global sensitivity 1).  A watermark-zero plan is untouched bit for
-        bit.
+        Each query's exact sum over its pinned delta snapshot is added to the
+        estimate *before* the noise draw, and — for approximating queries
+        whose snapshot is non-empty — the smooth sensitivity is floored at
+        1, since one delta individual changes the exact component by exactly
+        1 (the constant bound 1 is trivially beta-smooth, so ``max(smooth,
+        1)`` remains a valid smooth upper bound of the combined release).  A
+        watermark-zero query is untouched bit for bit.
         """
-        results: list[LocalAnswer | None] = [None] * len(plans)
-        approx = [
-            (index, plan) for index, plan in enumerate(plans) if not plan.exact
-        ]
-        if approx:
-            lengths = np.array([plan.selected.size for _, plan in approx], dtype=np.int64)
-            boundaries = np.zeros(lengths.size + 1, dtype=np.int64)
-            np.cumsum(lengths, out=boundaries[1:])
-            flat_values = np.concatenate(
-                [values_list[index] for index, _ in approx]
-            ).astype(float)
-            # Hansen-Hurwitz weights must match the distribution the clusters
-            # were actually drawn from (the DP selection distribution),
-            # otherwise near-zero approximate proportions blow the estimate
-            # up; see the estimator-consistency note in DESIGN.md.
-            flat_weights = np.concatenate(
-                [plan.selection[plan.selected] for _, plan in approx]
-            )
-            flat_ratios = flat_values / flat_weights
-            # A selected cluster holding matching rows has a true proportion
-            # of at least one row over S; flooring the approximate R̂ there
-            # keeps the scenario-1 local sensitivity finite when the
-            # independence approximation returned zero.
-            flat_proportions = np.maximum(
-                np.concatenate(
-                    [plan.session.proportions[plan.selected] for _, plan in approx]
+        self._open_streams(sessions)
+        self._materialize_sessions(sessions)
+        num_queries = len(sessions)
+        counts = np.array(
+            [session.covering_positions.size for session in sessions], dtype=np.int64
+        )
+        approximated = counts >= self.n_min
+        approximating = np.flatnonzero(approximated)
+        exact = np.flatnonzero(~approximated)
+        # The (owning query, cluster position) pairs the kernel must
+        # evaluate: every covering cluster of an exactly answered query ...
+        owners = exact.repeat(counts[exact])
+        needed = np.concatenate(
+            [sessions[index].covering_positions for index in exact.tolist()]
+            or [np.zeros(0, dtype=np.int64)]
+        )
+        approx_indices = approximating.tolist()
+        chosen = [sessions[index] for index in approx_indices]
+        if chosen:
+            # ... and, ahead of them so that the head of the dedup's inverse
+            # maps draws onto pairs, the drawn clusters of the others.
+            proportions = np.concatenate([session.proportions for session in chosen])
+            proportion_sums = np.array([session.proportions_sum for session in chosen])
+            sizes, drawn, weights = sample_clusters(
+                proportions,
+                segment_offsets(counts[approximating]),
+                proportion_sums,
+                np.array(
+                    [allocations[index].sample_size for index in approx_indices],
+                    dtype=np.int64,
                 ),
-                1.0 / self.cluster_size,
+                budget.epsilon_sampling,
+                self.n_min,
+                [session.rng for session in chosen],
             )
-            dr_values = np.array(
-                [
-                    delta_r(self.cluster_size, plan.session.query.num_dimensions)
-                    for _, plan in approx
-                ]
+            covering = np.concatenate([session.covering_positions for session in chosen])
+            owners = np.concatenate([approximating.repeat(sizes), owners])
+            needed = np.concatenate([covering[drawn], needed])
+        pair_positions, pair_offsets, inverse = dedup_pairs(
+            owners, needed, num_queries, self.num_clusters
+        )
+        pair_values = self._query_cluster_values(
+            QueryBatch(tuple(session.query for session in sessions)),
+            pair_positions,
+            pair_offsets,
+        )
+        delta_values, delta_scanned = self._delta_contributions(sessions)
+        rows_scanned = (
+            segment_sums_exact(
+                self.clustered.layout().cluster_rows[pair_positions], pair_offsets
             )
-            proportion_sums = np.array(
-                [plan.session.proportions_sum for _, plan in approx]
-            )
-            flat_smooth = estimator_smooth_sensitivities(
-                flat_values,
-                flat_proportions,
-                flat_weights,
-                sum_proportions=np.repeat(proportion_sums, lengths),
-                delta_r_value=np.repeat(dr_values, lengths),
+            + delta_scanned
+        ).tolist()
+        # The exact path releases the plain sum under global sensitivity 1:
+        # one individual changes COUNT(*) / SUM(Measure) by at most 1.
+        estimates = (segment_sums_exact(pair_values, pair_offsets) + delta_values).tolist()
+        sensitivities = [1.0] * num_queries
+        if chosen:
+            means, smooths = hansen_hurwitz(
+                pair_values[inverse[: drawn.size]],
+                weights,
+                proportions[drawn],
+                segment_offsets(sizes),
+                proportion_sums=proportion_sums,
+                delta_r_values=np.array(
+                    [
+                        delta_r(self.cluster_size, session.query.num_dimensions)
+                        for session in chosen
+                    ]
+                ),
+                cluster_size=self.cluster_size,
                 epsilon=budget.epsilon_estimation,
                 delta=budget.delta,
             )
-            # Hansen-Hurwitz means and smooth-sensitivity means of every
-            # approximating query in two segmented reductions (segments are
-            # the per-query selected-cluster runs, all non-empty).
-            segment_starts = boundaries[:-1]
-            ratio_sums = np.add.reduceat(flat_ratios, segment_starts)
-            smooth_sums = np.add.reduceat(flat_smooth, segment_starts)
-            layout_rows = self.clustered.layout().cluster_rows
-            for slot, (index, plan) in enumerate(approx):
-                size = int(lengths[slot])
-                watermark = plan.session.delta_watermark
-                estimate = float(ratio_sums[slot] / size) + float(
-                    delta_values[index]
+            means = (means + delta_values[approximating]).tolist()
+            for slot, (index, smooth) in enumerate(zip(approx_indices, smooths.tolist())):
+                estimates[index] = means[slot]
+                sensitivities[index] = (
+                    max(smooth, 1.0) if sessions[index].delta_watermark else smooth
                 )
-                smooth = float(smooth_sums[slot] / size)
-                if watermark:
-                    smooth = max(smooth, 1.0)
-                noise = 0.0
-                if not use_smc:
-                    # Lap(2 * S_LS / eps_E) — Algorithm 3, line 10.
-                    scale = 2.0 * smooth / budget.epsilon_estimation
-                    noise = float(plan.session.rng.laplace(0.0, scale))
-                rows_scanned = int(layout_rows[plan.unique_positions].sum()) + int(
-                    delta_scanned[index]
+        sampled = segment_lengths(pair_offsets).tolist()
+        rows_stored = self.clustered.num_rows
+        results: list[LocalAnswer] = []
+        for index, (allocation, session) in enumerate(zip(allocations, sessions)):
+            approx = bool(approximated[index])
+            estimate = estimates[index]
+            sensitivity = sensitivities[index]
+            noise = 0.0
+            if not use_smc:
+                # Lap(2 * S_LS / eps_E) — Algorithm 3, line 10 — when
+                # approximating, Lap(1 / eps_E) on the exact path.
+                scale = (2.0 * sensitivity if approx else sensitivity) / (
+                    budget.epsilon_estimation
                 )
-                report = ProviderReport(
-                    provider_id=self.provider_id,
-                    covering_clusters=int(plan.session.covering_positions.size),
-                    allocation=plan.allocation.sample_size,
-                    sampled_clusters=int(plan.unique_positions.size),
-                    approximated=True,
-                    local_estimate=estimate,
-                    local_noise=noise,
-                    smooth_sensitivity=smooth,
-                    rows_scanned=rows_scanned,
-                    rows_available=self.clustered.num_rows + watermark,
+                noise = float(session.rng.laplace(0.0, scale))
+            results.append(
+                LocalAnswer(
+                    message=EstimateMessage(
+                        query_id=allocation.query_id,
+                        provider_id=self.provider_id,
+                        value=float(estimate) + noise,
+                        smooth_sensitivity=sensitivity,
+                        approximated=approx,
+                    ),
+                    report=ProviderReport(
+                        provider_id=self.provider_id,
+                        covering_clusters=session.covering_positions.size,
+                        allocation=allocation.sample_size,
+                        sampled_clusters=sampled[index],
+                        approximated=approx,
+                        local_estimate=float(estimate),
+                        local_noise=noise,
+                        smooth_sensitivity=sensitivity,
+                        rows_scanned=rows_scanned[index],
+                        rows_available=rows_stored + session.delta_watermark,
+                        exact_local_answer=None if approx else estimate,
+                    ),
                 )
-                message = EstimateMessage(
-                    query_id=plan.allocation.query_id,
-                    provider_id=self.provider_id,
-                    value=estimate + noise,
-                    smooth_sensitivity=smooth,
-                    approximated=True,
-                )
-                results[index] = LocalAnswer(message=message, report=report)
-        for index, plan in enumerate(plans):
-            if plan.exact:
-                results[index] = self._build_exact_answer(
-                    plan,
-                    values_list[index],
-                    budget,
-                    use_smc,
-                    int(delta_values[index]),
-                    int(delta_scanned[index]),
-                )
-        if any(answer is None for answer in results):
-            raise ProtocolError(
-                "internal error: a query of the batch produced no local answer"
             )
         return results
-
-    def _build_exact_answer(
-        self,
-        plan: _AnswerPlan,
-        values: np.ndarray,
-        budget: QueryBudget,
-        use_smc: bool,
-        delta_value: int = 0,
-        delta_scanned: int = 0,
-    ) -> LocalAnswer:
-        allocation = plan.allocation
-        layout = self.clustered.layout()
-        exact = int(values.sum()) + delta_value
-        rows_scanned = int(layout.cluster_rows[plan.needed_positions].sum()) + delta_scanned
-        # Adding or removing one individual changes COUNT(*) / SUM(Measure)
-        # by at most 1, so the exact path uses global sensitivity 1.
-        sensitivity = 1.0
-        noise = 0.0
-        if not use_smc:
-            mechanism = LaplaceMechanism(
-                epsilon=budget.epsilon_estimation,
-                sensitivity=sensitivity,
-                rng=plan.session.rng,
-            )
-            noise = float(mechanism.sample_noise())
-        report = ProviderReport(
-            provider_id=self.provider_id,
-            covering_clusters=int(plan.needed_positions.size),
-            allocation=allocation.sample_size,
-            sampled_clusters=int(plan.needed_positions.size),
-            approximated=False,
-            local_estimate=float(exact),
-            local_noise=noise,
-            smooth_sensitivity=sensitivity,
-            rows_scanned=rows_scanned,
-            rows_available=self.clustered.num_rows + plan.session.delta_watermark,
-            exact_local_answer=exact,
-        )
-        message = EstimateMessage(
-            query_id=allocation.query_id,
-            provider_id=self.provider_id,
-            value=float(exact) + noise,
-            smooth_sensitivity=sensitivity,
-            approximated=False,
-        )
-        return LocalAnswer(message=message, report=report)
 
     # -- baseline --------------------------------------------------------------
 

@@ -19,8 +19,9 @@ the unsharded answer:
 - Cluster metadata (zone maps, per-cluster proportions) is local to each
   cluster, so a shard's metadata pass computes the *same values* the
   global pass would for the clusters it owns — element-wise identical
-  arrays, not merely close.  The merger concatenates the arrays and takes
-  one sum, never partial sums, so float non-associativity cannot creep in.
+  arrays, not merely close.  The merger joins the shards' flat arrays into
+  the global flat form and the base class takes one sum per query over it,
+  never partial sums, so float non-associativity cannot creep in.
 - ``Q(C)`` values are exact integer sums per cluster; concatenation in
   layout order makes the per-query value vectors identical to the
   unsharded ones.
@@ -34,16 +35,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from ..errors import ProtocolError
 from ..obs.trace import ambient_span
-from ..query.batch import QueryBatch
 from ..storage.cluster import Cluster
 from ..storage.clustered_table import ClusteredTable
 from ..storage.metadata import build_metadata
+from ..utils.ragged import segment_ids, segment_offsets
 from .partitioning import work_balanced_chunks
 from .provider import DataProvider
 
@@ -123,97 +123,57 @@ class ShardedProvider(DataProvider):
 
     # -- sharded data passes ---------------------------------------------------
 
-    def _materialize_sessions(self, sessions) -> None:
-        lazy = [session for session in sessions if session.covering_positions is None]
-        if not lazy:
-            return
+    def _covering_pass(self, ranges_list):
         shards = self._ensure_shards()
-        if len(shards) == 1:
-            super()._materialize_sessions(sessions)
-            return
-        ranges_list = [session.query.range_tuples() for session in lazy]
-        per_shard_positions = []
-        per_shard_proportions = []
+        num_queries = len(ranges_list)
+        parts = []
         for shard_index, shard in enumerate(shards):
             with ambient_span(
                 "shard.metadata_pass",
                 provider=self.provider_id,
                 shard=shard_index,
-                queries=len(lazy),
+                queries=num_queries,
             ):
-                positions_list = shard.metadata.covering_positions_batch(ranges_list)
-                per_shard_positions.append(positions_list)
-                per_shard_proportions.append(
-                    shard.metadata.proportions_at_positions_batch(
-                        positions_list, ranges_list
-                    )
+                positions = shard.metadata.covering_positions_batch(ranges_list)
+                proportions = shard.metadata.proportions_at_positions_batch(
+                    positions, ranges_list
                 )
-        for query_index, session in enumerate(lazy):
-            # Shards are contiguous ranges in layout order, so offsetting each
-            # shard's (ascending) local positions and concatenating in shard
-            # order reproduces the global ascending covering set exactly.
-            positions = np.concatenate(
-                [
-                    per_shard_positions[shard_index][query_index] + shard.start
-                    for shard_index, shard in enumerate(shards)
-                ]
-            )
-            proportions = np.concatenate(
-                [
-                    per_shard_proportions[shard_index][query_index]
-                    for shard_index in range(len(shards))
-                ]
-            )
-            session.covering_positions = positions
-            session.proportions = proportions
-            session.proportions_sum = (
-                float(proportions.sum()) if positions.size else 0.0
-            )
+            parts.append((positions.flat + shard.start, proportions.flat, positions.counts))
+        # Shards are contiguous ranges in layout order, so a stable sort of
+        # the shard-major concatenation by owning query lines up, per query,
+        # every shard's (ascending) positions in shard order: exactly the
+        # global ascending covering set.
+        owners = np.concatenate(
+            [np.repeat(np.arange(num_queries), counts) for _, _, counts in parts]
+        )
+        order = np.argsort(owners, kind="stable")
+        return (
+            np.concatenate([positions for positions, _, _ in parts])[order],
+            np.concatenate([proportions for _, proportions, _ in parts])[order],
+            np.sum([counts for _, _, counts in parts], axis=0),
+        )
 
-    def _needed_values(self, plans) -> list[np.ndarray]:
+    def _query_cluster_values(self, batch, pair_positions, offsets) -> np.ndarray:
         shards = self._ensure_shards()
-        if len(shards) == 1:
-            return super()._needed_values(plans)
-        batch = QueryBatch(tuple(plan.session.query for plan in plans))
-        positions_per_query = [
-            plan.needed_positions if plan.exact else plan.unique_positions
-            for plan in plans
-        ]
-        boundaries = [shard.start for shard in shards] + [self.clustered.num_clusters]
-        gathered: list[list[np.ndarray]] = [[] for _ in plans]
+        owners = segment_ids(offsets)
+        values = np.zeros(pair_positions.size, dtype=np.int64)
         for shard_index, shard in enumerate(shards):
-            local_positions = []
-            for positions in positions_per_query:
-                low = np.searchsorted(positions, boundaries[shard_index], side="left")
-                high = np.searchsorted(
-                    positions, boundaries[shard_index + 1], side="left"
-                )
-                local_positions.append(positions[low:high] - shard.start)
-            if not any(positions.size for positions in local_positions):
+            # A mask keeps the pair order, so the shard's pairs stay grouped
+            # by owning query and its values scatter straight back.
+            local = (pair_positions >= shard.start) & (
+                pair_positions < shard.start + shard.num_clusters
+            )
+            if not local.any():
                 continue
             with ambient_span(
                 "shard.scan",
                 provider=self.provider_id,
                 shard=shard_index,
-                clusters=int(sum(p.size for p in local_positions)),
+                clusters=int(local.sum()),
             ):
-                shard_values = shard.clustered.layout().query_cluster_values(
-                    batch, local_positions
+                values[local] = shard.clustered.layout().query_cluster_values(
+                    batch,
+                    pair_positions[local] - shard.start,
+                    segment_offsets(np.bincount(owners[local], minlength=len(batch))),
                 )
-            for query_index, values in enumerate(shard_values):
-                if values.size:
-                    gathered[query_index].append(values)
-        values_list = [
-            np.concatenate(parts)
-            if parts
-            else np.zeros(0, dtype=np.int64)
-            for parts in gathered
-        ]
-        values: list[np.ndarray] = []
-        for plan, unique_values in zip(plans, values_list):
-            if plan.exact or plan.needed_positions.size == 0:
-                values.append(unique_values)
-                continue
-            indices = np.searchsorted(plan.unique_positions, plan.needed_positions)
-            values.append(unique_values[indices])
         return values

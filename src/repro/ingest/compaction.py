@@ -50,6 +50,7 @@ __all__ = [
     "CompactionPolicy",
     "CompactionReport",
     "Compactor",
+    "changed_bounds",
     "fold_into_clustered",
     "incremental_eligible",
 ]
@@ -159,6 +160,31 @@ def incremental_eligible(
         return True
     key = sort_by or schema.dimension_names[0]
     return intra_sort_by is None or intra_sort_by == key
+
+
+def changed_bounds(
+    old_layout: ClusterLayout, new_layout: ClusterLayout, first_affected: int
+) -> dict[str, tuple[int, int]]:
+    """Bounding box of every cluster a fold removed, rewrote, or added.
+
+    Per dimension, the union of the zone bounds of the old and new
+    clusters at positions ``>= first_affected`` (empty clusters carry
+    inverted sentinels and contribute nothing).  A query box disjoint
+    from this region on any dimension cannot have covered a changed
+    cluster before the fold nor cover one after it.
+    """
+    bounds: dict[str, tuple[int, int]] = {}
+    for name in new_layout.columns:
+        lows: list[int] = []
+        highs: list[int] = []
+        for layout in (old_layout, new_layout):
+            nonempty = layout.cluster_rows[first_affected:] > 0
+            if nonempty.any():
+                lows.append(int(layout.zone_min[name][first_affected:][nonempty].min()))
+                highs.append(int(layout.zone_max[name][first_affected:][nonempty].max()))
+        if lows:
+            bounds[name] = (min(lows), max(highs))
+    return bounds
 
 
 def fold_into_clustered(

@@ -25,6 +25,7 @@ from ..storage.cluster import Cluster
 from ..storage.clustered_table import ClusteredTable
 from ..storage.metadata import MetadataStore
 from ..storage.table import Table
+from ..utils.ragged import Ragged
 from .batch import QueryBatch
 from .model import RangeQuery
 
@@ -129,31 +130,36 @@ class ExactExecutor:
         batch.validate_against(self._clustered.schema)
         layout = self._clustered.layout()
         if self._metadata is None:
-            covering_positions = [
-                np.arange(layout.num_clusters, dtype=np.int64) for _ in batch
-            ]
+            covering = Ragged.from_arrays(
+                [np.arange(layout.num_clusters) for _ in batch], np.int64
+            )
         elif tuple(self._metadata.cluster_ids) == layout.cluster_ids:
             # Metadata and layout share the storage order (the always-true
             # case for provider-built executors), so the metadata's position
             # arrays index the layout directly — no per-id Python mapping.
-            covering_positions = self._metadata.covering_positions_batch(
+            covering = self._metadata.covering_positions_batch(
                 batch.range_tuples_list()
             )
         else:
             position_of = layout.position_of()
-            covering_lists = self._metadata.covering_cluster_ids_batch(
-                batch.range_tuples_list()
+            covering = Ragged.from_arrays(
+                [
+                    [position_of[cluster_id] for cluster_id in ids]
+                    for ids in self._metadata.covering_cluster_ids_batch(
+                        batch.range_tuples_list()
+                    )
+                ],
+                np.int64,
             )
-            covering_positions = [
-                np.array([position_of[cluster_id] for cluster_id in ids], dtype=np.int64)
-                for ids in covering_lists
-            ]
-        values_list = layout.query_cluster_values(batch, covering_positions)
+        values = Ragged(
+            layout.query_cluster_values(batch, covering.flat, covering.offsets),
+            covering.offsets,
+        )
         return [
             ExactExecution(
-                value=int(values.sum()),
+                value=int(query_values.sum()),
                 clusters_scanned=int(positions.size),
                 rows_scanned=int(layout.cluster_rows[positions].sum()),
             )
-            for positions, values in zip(covering_positions, values_list)
+            for positions, query_values in zip(covering, values)
         ]

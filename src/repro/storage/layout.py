@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 import numpy as np
 
 from ..errors import StorageError
+from ..utils.ragged import segment_ids
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..query.batch import QueryBatch
@@ -564,37 +565,43 @@ class ClusterLayout:
     def query_cluster_values(
         self,
         batch: "QueryBatch",
-        positions_per_query: Sequence[np.ndarray],
-    ) -> list[np.ndarray]:
+        pair_positions: np.ndarray,
+        offsets: np.ndarray,
+    ) -> np.ndarray:
         """Exact ``Q(C)`` for each query's own cluster positions, in one pass.
 
-        Unlike :meth:`cluster_values`, which evaluates every query against
-        every cluster of the layout, this kernel touches exactly the
+        The requested pairs come as one flat array plus offsets: query ``i``
+        of the batch asks for the clusters at
+        ``pair_positions[offsets[i]:offsets[i + 1]]``, and the returned
+        int64 array holds their values in the same order.  Unlike
+        :meth:`cluster_values`, which evaluates every query against every
+        cluster of the layout, this kernel touches exactly the
         (query, cluster) pairs requested.
         """
         num_queries = len(batch)
-        if len(positions_per_query) != num_queries:
-            raise StorageError("positions_per_query must align with the batch")
-        pair_counts = np.array([len(p) for p in positions_per_query], dtype=np.int64)
-        if int(pair_counts.sum()) == 0:
-            return [np.zeros(0, dtype=np.int64) for _ in range(num_queries)]
-        pair_positions = np.concatenate(
-            [np.asarray(p, dtype=np.int64) for p in positions_per_query]
-        )
+        pair_positions = np.asarray(pair_positions, dtype=np.int64)
+        offsets = np.asarray(offsets, dtype=np.int64)
+        if (
+            offsets.shape != (num_queries + 1,)
+            or pair_positions.ndim != 1
+            or offsets[0] != 0
+            or offsets[-1] != pair_positions.size
+            or np.any(offsets[1:] < offsets[:-1])
+        ):
+            raise StorageError(
+                f"offsets must hold {num_queries + 1} non-decreasing entries from 0 "
+                f"to the {pair_positions.size} requested pairs, one segment per "
+                f"query of the batch"
+            )
+        if pair_positions.size == 0:
+            return np.zeros(0, dtype=np.int64)
         if pair_positions.min() < 0 or pair_positions.max() >= self.num_clusters:
             raise StorageError(
                 f"cluster positions must be in [0, {self.num_clusters}), got "
                 f"[{int(pair_positions.min())}, {int(pair_positions.max())}]"
             )
         bounds = self._checked_bounds(batch)
-        pair_query = np.repeat(np.arange(num_queries, dtype=np.int64), pair_counts)
-        pair_values = self._evaluate_pairs(bounds, pair_query, pair_positions)
-        boundaries = np.zeros(num_queries + 1, dtype=np.int64)
-        np.cumsum(pair_counts, out=boundaries[1:])
-        return [
-            pair_values[boundaries[index] : boundaries[index + 1]]
-            for index in range(num_queries)
-        ]
+        return self._evaluate_pairs(bounds, segment_ids(offsets), pair_positions)
 
     def _evaluate_pairs(
         self, bounds, pair_query: np.ndarray, pair_positions: np.ndarray

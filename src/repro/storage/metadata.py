@@ -23,6 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..errors import StorageError
+from ..utils.ragged import Ragged, segment_ids, segment_offsets
 from .cluster import Cluster
 from .clustered_table import ClusteredTable
 from .layout import OPEN_HIGH, OPEN_LOW
@@ -209,25 +210,11 @@ class DenseDimensionIndex:
     v_min: np.ndarray
     v_max: np.ndarray
 
-    def range_counts(self, cluster_positions: np.ndarray, low: int, high: int) -> np.ndarray:
-        """Rows of each cluster (by position) with value in ``[low, high]``."""
-        low_clipped = max(low, self.domain_low)
-        high_clipped = min(high, self.domain_high)
-        if low_clipped > high_clipped:
-            return np.zeros(cluster_positions.size, dtype=self.rows_geq.dtype)
-        low_col = low_clipped - self.domain_low
-        high_col = high_clipped + 1 - self.domain_low
-        return (
-            self.rows_geq[cluster_positions, low_col]
-            - self.rows_geq[cluster_positions, high_col]
-        )
-
     def range_counts_batch(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         """Per-(query, cluster) matching-row counts — ``(nq, nc)`` in one shot.
 
         ``lows`` / ``highs`` hold one inclusive bound pair per query; queries
-        whose clipped interval is empty get all-zero counts, mirroring
-        :meth:`range_counts`.
+        whose clipped interval is empty get all-zero counts.
         """
         lows = np.asarray(lows, dtype=np.int64)
         highs = np.asarray(highs, dtype=np.int64)
@@ -239,10 +226,6 @@ class DenseDimensionIndex:
         counts = (self.rows_geq[:, low_col] - self.rows_geq[:, high_col]).T
         counts[~valid, :] = 0
         return counts
-
-    def overlap_mask(self, low: int, high: int) -> np.ndarray:
-        """Boolean mask of clusters whose [v_min, v_max] intersects [low, high]."""
-        return (self.v_max >= low) & (self.v_min <= high)
 
     def overlap_mask_batch(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         """Per-(query, cluster) Equation-2 overlap masks — ``(nq, nc)``."""
@@ -293,32 +276,34 @@ class MetadataStore:
 
     def covering_positions_batch(
         self, ranges_list: Sequence[Mapping[str, tuple[int, int]]]
-    ) -> list[np.ndarray]:
+    ) -> Ragged:
         """Covering sets as storage-order positions (the batch-engine form).
 
         Positions index into :attr:`cluster_ids` / the provider's cluster
         layout, so downstream vectorised kernels can skip the id indirection.
+        The result is one flat array plus offsets: the dense path reads the
+        whole ``(nq, nc)`` mask out with a single ``np.nonzero`` (row-major,
+        so each query's positions come out ascending), not one
+        ``flatnonzero`` per query.
         """
-        if not ranges_list:
-            return []
-        if not self._densely_indexed(ranges_list):
+        num_queries = len(ranges_list)
+        bounds = self._dimension_bounds(ranges_list)
+        if not num_queries or not self._densely_indexed(bounds):
             position_of = self._position
-            return [
-                np.array(
+            return Ragged.from_arrays(
+                [
                     [
                         position_of[cluster_id]
                         for cluster_id in self._covering_cluster_ids_scalar(ranges)
-                    ],
-                    dtype=np.int64,
-                )
-                for ranges in ranges_list
-            ]
-        return [
-            np.flatnonzero(row)
-            for row in self._overlap_mask(
-                self._dimension_bounds(ranges_list), len(ranges_list)
+                    ]
+                    for ranges in ranges_list
+                ],
+                np.int64,
             )
-        ]
+        query_of, positions = np.nonzero(self._overlap_mask(bounds, num_queries))
+        return Ragged(
+            positions, segment_offsets(np.bincount(query_of, minlength=num_queries))
+        )
 
     def _covering_cluster_ids_scalar(
         self, ranges: Mapping[str, tuple[int, int]]
@@ -342,9 +327,9 @@ class MetadataStore:
         """
         if not ranges_list:
             return []
-        if not self._densely_indexed(ranges_list):
-            return [self._cost_stats_scalar(ranges) for ranges in ranges_list]
         bounds = self._dimension_bounds(ranges_list)
+        if not self._densely_indexed(bounds):
+            return [self._cost_stats_scalar(ranges) for ranges in ranges_list]
         touched = self._overlap_mask(bounds, len(ranges_list))
         straddling = np.zeros(touched.shape, dtype=bool)
         for name, (lows, highs, _) in bounds.items():
@@ -402,7 +387,7 @@ class MetadataStore:
         self,
         cluster_ids_list: Sequence[Sequence[int]],
         ranges_list: Sequence[Mapping[str, tuple[int, int]]],
-    ) -> list[np.ndarray]:
+    ) -> Ragged:
         """Equation-1 proportions for every (query, covering set) pair.
 
         The dense path evaluates every query's per-dimension range counts over
@@ -416,8 +401,7 @@ class MetadataStore:
                 "cluster_ids_list and ranges_list must have the same length"
             )
         positions_list = [
-            np.array([self._position[cluster_id] for cluster_id in ids], dtype=np.int64)
-            for ids in cluster_ids_list
+            [self._position[cluster_id] for cluster_id in ids] for ids in cluster_ids_list
         ]
         return self.proportions_at_positions_batch(positions_list, ranges_list)
 
@@ -425,25 +409,66 @@ class MetadataStore:
         self,
         positions_list: Sequence[np.ndarray],
         ranges_list: Sequence[Mapping[str, tuple[int, int]]],
-    ) -> list[np.ndarray]:
-        """Equation-1 proportions addressed by storage-order positions."""
+    ) -> Ragged:
+        """Equation-1 proportions addressed by storage-order positions.
+
+        Takes the :class:`~repro.utils.ragged.Ragged` covering sets of
+        :meth:`covering_positions_batch` (or any per-query sequence of
+        position arrays) and returns the proportions in the same ragged
+        shape; the dense path gathers them from the ``(nq, nc)`` proportion
+        matrix with one fancy index.
+        """
         if len(positions_list) != len(ranges_list):
             raise StorageError(
                 "positions_list and ranges_list must have the same length"
             )
-        if not ranges_list:
-            return []
-        if not self._densely_indexed(ranges_list):
-            return [
-                self._proportions_scalar(
-                    [self.cluster_ids[int(p)] for p in positions], ranges
-                )
-                for positions, ranges in zip(positions_list, ranges_list)
-            ]
-        num_queries = len(ranges_list)
-        num_clusters = len(self.cluster_ids)
-        result = np.ones((num_queries, num_clusters), dtype=float)
+        if not isinstance(positions_list, Ragged):
+            positions_list = Ragged.from_arrays(positions_list, np.int64)
         bounds = self._dimension_bounds(ranges_list)
+        if not ranges_list or not self._densely_indexed(bounds):
+            return Ragged.from_arrays(
+                [
+                    self._proportions_scalar(
+                        [self.cluster_ids[int(p)] for p in positions], ranges
+                    )
+                    for positions, ranges in zip(positions_list, ranges_list)
+                ],
+                float,
+            )
+        matrix = self._proportion_matrix(bounds, len(ranges_list))
+        return Ragged(
+            matrix[segment_ids(positions_list.offsets), positions_list.flat],
+            positions_list.offsets,
+        )
+
+    def _proportions_scalar(
+        self, ids: list[int], ranges: Mapping[str, tuple[int, int]]
+    ) -> np.ndarray:
+        if not ids:
+            return np.zeros(0, dtype=float)
+        return np.array(
+            [self.clusters[cluster_id].proportion_for_ranges(ranges) for cluster_id in ids],
+            dtype=float,
+        )
+
+    def _densely_indexed(self, bounds: Mapping[str, tuple]) -> bool:
+        """Whether every queried dimension has a dense index (else: scalar path)."""
+        return self.dense_index is not None and all(
+            name in self.dense_index for name in bounds
+        )
+
+    def _proportion_matrix(
+        self,
+        bounds: Mapping[str, tuple[np.ndarray, np.ndarray, np.ndarray]],
+        num_queries: int,
+    ) -> np.ndarray:
+        """Equation 1 for a workload: ``R̂`` of every (query, cluster) pair.
+
+        Factors multiply in sorted dimension order, so an entry depends only
+        on its own query and cluster — bit-identical however the queries
+        are batched.
+        """
+        result = np.ones((num_queries, len(self.cluster_ids)), dtype=float)
         for name in sorted(bounds):
             lows, highs, constrained = bounds[name]
             # range_counts_batch clips the open interval of an unconstrained
@@ -456,30 +481,7 @@ class MetadataStore:
             # dimension, matching the scalar executor skipping it.
             factor[~constrained, :] = 1.0
             result *= factor
-        return [
-            result[query_index, positions]
-            if len(positions)
-            else np.zeros(0, dtype=float)
-            for query_index, positions in enumerate(positions_list)
-        ]
-
-    def _proportions_scalar(
-        self, ids: list[int], ranges: Mapping[str, tuple[int, int]]
-    ) -> np.ndarray:
-        if not ids:
-            return np.zeros(0, dtype=float)
-        return np.array(
-            [self.clusters[cluster_id].proportion_for_ranges(ranges) for cluster_id in ids],
-            dtype=float,
-        )
-
-    def _densely_indexed(
-        self, ranges_list: Sequence[Mapping[str, tuple[int, int]]]
-    ) -> bool:
-        """Whether every queried dimension has a dense index (else: scalar path)."""
-        return self.dense_index is not None and all(
-            name in self.dense_index for ranges in ranges_list for name in ranges
-        )
+        return result
 
     @staticmethod
     def _dimension_bounds(
@@ -487,7 +489,7 @@ class MetadataStore:
     ) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Per queried dimension, every query's ``(lows, highs, constrained)``.
 
-        One pass over the range dicts serves all three dense passes.  A
+        One pass over the range dicts serves every dense pass.  A
         query that does not constrain a dimension holds the open interval
         ``[OPEN_LOW, OPEN_HIGH]`` there: it overlaps and contains every
         zone box.  Dimensions come in first-seen order.

@@ -18,11 +18,13 @@ from repro.core.sensitivity import (
     estimator_smooth_sensitivity,
     smooth_peak_factor,
 )
+from repro.federation.dpmath import sample_clusters
 from repro.query.batch import QueryBatch
 from repro.query.executor import ExactExecutor, execute_on_cluster
 from repro.query.model import RangeQuery
 from repro.sampling.em_sampler import EMClusterSampler
 from repro.storage.metadata import build_metadata
+from repro.utils.ragged import segment_offsets
 
 
 @pytest.fixture
@@ -62,19 +64,22 @@ class TestClusterLayout:
             RangeQuery.count({"hours": (2, 9)}),
         ]
         positions = [np.array([0, 3, 7]), np.array([1, 2])]
-        values = layout.query_cluster_values(QueryBatch(tuple(queries)), positions)
-        for query_index, (query, chosen) in enumerate(zip(queries, positions)):
-            expected = [
-                execute_on_cluster(clustered.clusters[p], query) for p in chosen
-            ]
-            assert values[query_index].tolist() == expected
+        values = layout.query_cluster_values(
+            QueryBatch(tuple(queries)), np.concatenate(positions), np.array([0, 3, 5])
+        )
+        expected = [
+            execute_on_cluster(clustered.clusters[p], query)
+            for query, chosen in zip(queries, positions)
+            for p in chosen
+        ]
+        assert values.tolist() == expected
 
     def test_query_cluster_values_empty_positions(self, layout):
         queries = [RangeQuery.count({"age": (10, 60)})]
         values = layout.query_cluster_values(
-            QueryBatch(tuple(queries)), [np.empty(0, dtype=np.int64)]
+            QueryBatch(tuple(queries)), np.empty(0, dtype=np.int64), np.array([0, 0])
         )
-        assert values[0].size == 0
+        assert values.size == 0 and values.dtype == np.int64
 
     def test_gather_subsets_clusters(self, clustered, layout):
         sub = layout.gather(np.array([2, 5]))
@@ -160,33 +165,51 @@ class TestVectorisedSensitivity:
 
 
 class TestFlattenedSelectionDistribution:
-    """The provider's flattened Algorithm-2 pipeline vs the scalar sampler."""
+    """The flat Algorithm-2 pipeline of ``dpmath`` vs the scalar sampler."""
 
     def test_select_clusters_matches_class_sampler(self, small_table):
-        from repro.core.accounting import QueryBudget
-        from repro.federation.messages import AllocationMessage, QueryRequest
-        from repro.federation.provider import DataProvider, _AnswerPlan
+        from repro.federation.messages import QueryRequest
+        from repro.federation.provider import DataProvider
 
         provider = DataProvider(
             provider_id="p0", table=small_table, cluster_size=100, n_min=3, rng=0
         )
-        query = RangeQuery.count({"age": (10, 80)})
-        provider.prepare_summary(
-            QueryRequest(query_id=1, query=query, sampling_rate=0.3),
+        queries = [
+            RangeQuery.count({"age": (10, 80)}),
+            RangeQuery.count({"age": (30, 50), "hours": (0, 30)}),
+            RangeQuery.count({"dept": (1, 7)}),
+        ]
+        provider.prepare_summary_batch(
+            [
+                QueryRequest(query_id=index, query=query, sampling_rate=0.3)
+                for index, query in enumerate(queries)
+            ],
             epsilon_allocation=0.1,
         )
-        session = provider._sessions[1]
-        plan = _AnswerPlan(
-            allocation=AllocationMessage(query_id=1, provider_id="p0", sample_size=4),
-            session=session,
-            exact=False,
-            needed_positions=session.covering_positions,
+        sessions = [provider._sessions[index] for index in range(len(queries))]
+        lengths = [session.proportions.size for session in sessions]
+        offsets = segment_offsets(lengths)
+        proportions = np.concatenate([session.proportions for session in sessions])
+        sizes, drawn, weights = sample_clusters(
+            proportions,
+            offsets,
+            np.array([session.proportions_sum for session in sessions]),
+            np.array([4, 2, 500], dtype=np.int64),
+            0.1,
+            3,
+            [session.rng for session in sessions],
         )
-        provider._select_clusters([plan], epsilon_sampling=0.1)
-        reference = EMClusterSampler(epsilon=0.1, n_min=3).selection_distribution(
-            session.proportions, plan.sample_size
-        )
-        assert plan.selection == pytest.approx(reference.tolist(), rel=1e-12)
-        assert plan.selected.size == 4
-        assert np.all((0 <= plan.selected) & (plan.selected < session.proportions.size))
-        provider.forget(1)
+        assert sizes.tolist() == [4, 2, lengths[2]]  # clamped to N^Q
+        sampler = EMClusterSampler(epsilon=0.1, n_min=3)
+        draw_offsets = segment_offsets(sizes)
+        for index, session in enumerate(sessions):
+            mine = slice(draw_offsets[index], draw_offsets[index + 1])
+            local = drawn[mine] - offsets[index]
+            assert np.all((0 <= local) & (local < lengths[index]))
+            # The class sampler normalises with ``.sum()``, the flat pass with
+            # a left-to-right reduceat: equal to the last few ulps.
+            reference = sampler.selection_distribution(
+                session.proportions, int(sizes[index])
+            )
+            assert weights[mine] == pytest.approx(reference[local].tolist(), rel=1e-12)
+        provider.forget_batch(range(len(queries)))

@@ -327,6 +327,23 @@ class TestBudgetCharging:
         assert warm.upper_bound_epsilon == 0.0
         assert warm.must_release() == ()
 
+    def test_plan_reuse_builds_its_planner_once_per_aggregator(self, monkeypatch):
+        from repro.core.accounting import split_query_budget
+        from repro.federation import aggregator as aggregator_module
+
+        system = _system(ENABLED)
+        budget = split_query_budget(system.config.privacy)
+
+        def no_new_planner(*args, **kwargs):
+            raise AssertionError("plan_reuse constructed a ReusePlanner per call")
+
+        monkeypatch.setattr(aggregator_module, "ReusePlanner", no_new_planner)
+        first = system.aggregator.plan_reuse(WORKLOAD, budget)
+        system.execute_batch(WORKLOAD, compute_exact=False)
+        second = system.aggregator.plan_reuse(WORKLOAD, budget)
+        # The one planner peeks the live caches, so it still sees them warm up.
+        assert (first.num_fully_cached, second.num_fully_cached) == (0, len(WORKLOAD))
+
 
 class TestInvalidation:
     def test_layout_change_evicts_cached_releases(self):

@@ -27,6 +27,7 @@ from repro.config import (
 )
 from repro.core.system import FederatedAQPSystem
 from repro.errors import StorageError
+from repro.utils.ragged import segment_offsets
 from repro.query.batch import QueryBatch
 from repro.query.executor import ExactExecutor, execute_on_cluster
 from repro.query.model import RangeQuery
@@ -191,8 +192,9 @@ def test_all_kernel_modes_match_dense(seed, policy, monkeypatch):
             assert 0 < oracle_stats.max_tile_bytes
         if policy in ("sorted", "intra-sort"):
             assert stats.pairs_bisected > 0
-        per_query = layout.query_cluster_values(batch, positions)
-        for index, got in enumerate(per_query):
+        offsets = segment_offsets([len(chosen) for chosen in positions])
+        flat = layout.query_cluster_values(batch, np.concatenate(positions), offsets)
+        for index, got in enumerate(np.split(flat, offsets[1:-1])):
             assert np.array_equal(got, brute_values[index, positions[index]]), budget
         assert np.array_equal(layout.row_masks(batch), brute_masks), budget
 
@@ -286,9 +288,12 @@ def test_empty_segments_all_modes(monkeypatch):
         monkeypatch.setattr(layout_module, "MAX_KERNEL_BYTES", budget)
         assert np.array_equal(layout.cluster_values(batch), expected)
         assert np.array_equal(layout.cluster_values_dense(batch), expected)
-        values = layout.query_cluster_values(batch, positions)
-        for index in range(len(batch)):
-            assert np.array_equal(values[index], expected[index])
+        values = layout.query_cluster_values(
+            batch,
+            np.concatenate(positions),
+            segment_offsets([layout.num_clusters] * len(batch)),
+        )
+        assert np.array_equal(values.reshape(expected.shape), expected)
 
 
 def test_empty_segments_executor_end_to_end(monkeypatch):
@@ -307,22 +312,35 @@ def test_empty_segments_executor_end_to_end(monkeypatch):
 
 
 def test_query_cluster_values_rejects_bad_positions():
-    """Positions outside ``[0, num_clusters)`` and misaligned lists are typed errors.
+    """Positions outside ``[0, num_clusters)`` and misaligned offsets are typed errors.
 
-    A position past the end used to escape as a bare ``IndexError`` and a
-    negative one silently answered for the *last* cluster.
+    A position past the end used to escape as a bare ``IndexError``, a
+    negative one silently answered for the *last* cluster, and offsets that
+    disagree with the batch or the pair list surfaced as a NumPy broadcast
+    error from deep inside the kernel.
     """
     layout = ClusteredTable.from_table(
         _random_table(np.random.default_rng(3), 1000), cluster_size=100
     ).layout()
     assert layout.num_clusters == 10
     batch = QueryBatch(tuple(_random_workload(np.random.default_rng(5), 2)))
-    good = np.array([0, 3], dtype=np.int64)
-    for bad in ([0, 99], [0, -1]):
+    offsets = np.array([0, 2, 4], dtype=np.int64)
+    for bad in ([0, 3, 0, 99], [0, 3, 0, -1]):
         with pytest.raises(StorageError, match="positions"):
-            layout.query_cluster_values(batch, [good, np.array(bad, dtype=np.int64)])
-    with pytest.raises(StorageError, match="align"):
-        layout.query_cluster_values(batch, [good])
+            layout.query_cluster_values(batch, np.array(bad, dtype=np.int64), offsets)
+    good = np.array([0, 3, 1, 2], dtype=np.int64)
+    assert layout.query_cluster_values(batch, good, offsets).shape == (4,)
+    for misaligned in (
+        [0, 4],  # one segment for a batch of two
+        [0, 2, 4, 4],  # three segments
+        [0, 2, 3],  # stops short of the pair list
+        [0, 2, 5],  # runs past it
+        [1, 2, 4],  # does not start at zero
+        [0, 3, 2],  # decreasing
+        [[0, 2, 4]],  # not one-dimensional
+    ):
+        with pytest.raises(StorageError, match="offsets"):
+            layout.query_cluster_values(batch, good, np.array(misaligned))
 
 
 def test_gather_preserves_segment_offsets_and_empty_segments():

@@ -658,8 +658,10 @@ class TestEmptyBornProvider:
         assert values.shape == (3, 1) and not values.any()
         masks = layout.row_masks(batch)
         assert masks.shape == (3, 0)
-        per_query = layout.query_cluster_values(batch, [np.array([0])] * 3)
-        assert all(int(values.sum()) == 0 for values in per_query)
+        per_pair = layout.query_cluster_values(
+            batch, np.zeros(3, dtype=np.int64), np.arange(4)
+        )
+        assert per_pair.tolist() == [0, 0, 0]
 
     def test_provider_born_empty_bootstrapped_by_ingest(self):
         """Satellite: a provider can start with zero rows and grow."""

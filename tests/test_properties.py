@@ -1,6 +1,6 @@
 """Property-based invariants (hypothesis): query algebra, budgets, cache keys.
 
-Three families of properties the system's correctness arguments lean on:
+Families of properties the system's correctness arguments lean on:
 
 * **Interval / RangeQuery algebra** — normalisation is canonical, containment
   and intersection agree with their arithmetic definitions, and the SQL text
@@ -12,6 +12,10 @@ Three families of properties the system's correctness arguments lean on:
 * **Cache-key canonicalisation** — semantically equal queries map to equal
   release keys however their range mappings were built, and distinct
   predicates or budgets never collide.
+* **Vectorised allocation** — the aggregator's ``(queries, providers)``
+  waterfill equals the scalar Equation-6 solver query for query: ties in the
+  noisy proportions, negative and huge noisy counts, budgets clamped at
+  either end, a single surviving provider.
 * **Ingestion / compaction** — folding random delta batches into a random
   clustered table answers every query exactly like
   ``ClusteredTable.from_table`` on the union of rows (the compact-then-query
@@ -35,8 +39,13 @@ from hypothesis import strategies as st
 from repro.cache.key import answer_key, query_fingerprint, summary_key
 from repro.config import PrivacyConfig
 from repro.core.accounting import EndUserBudget, split_query_budget
+from repro.core.allocation import (
+    AllocationProblem,
+    solve_allocation,
+    solve_allocation_batch,
+)
 from repro.dp.accountant import PrivacyAccountant
-from repro.errors import BudgetExhaustedError
+from repro.errors import AllocationError, BudgetExhaustedError
 from repro.query.model import Aggregation, Interval, RangeQuery
 from repro.query.parser import parse_query
 
@@ -723,3 +732,66 @@ def test_work_packing_conserves_items_and_respects_budget(costs, budget):
         chunk_cost = sum(costs[item] for item in chunk)
         # A chunk either fits the budget or is a single unsplittable item.
         assert chunk_cost <= budget * (1 + 1e-9) or len(chunk) == 1
+
+
+# -- vectorised allocation ≡ the scalar Equation-6 solver ---------------------------
+
+# Noisy cluster counts as a provider could release them: half-integers probe
+# the round-half-to-even rule, negatives and zeros the capacity clamp, and
+# the huge magnitudes sit just inside the batch solver's 2**50 domain.
+noisy_counts = st.one_of(
+    st.floats(min_value=-50.0, max_value=400.0, allow_nan=False),
+    st.integers(min_value=-6, max_value=60).map(lambda k: k + 0.5),
+    st.sampled_from([0.0, -0.0, 1.0, 2.0**49, -(2.0**49), 1e12]),
+)
+# Few distinct proportions, so ties in the waterfill order are the norm.
+noisy_averages = st.one_of(
+    st.sampled_from([-0.25, 0.0, -0.0, 0.125, 0.5, 0.5, 1.0]),
+    st.floats(min_value=-1.0, max_value=2.0, allow_nan=False),
+)
+
+
+@st.composite
+def summary_matrices(draw):
+    providers = draw(st.integers(min_value=1, max_value=6))  # 1: one survivor
+    queries = draw(st.integers(min_value=1, max_value=8))
+    row = lambda values: st.lists(values, min_size=providers, max_size=providers)
+    counts = draw(st.lists(row(noisy_counts), min_size=queries, max_size=queries))
+    averages = draw(st.lists(row(noisy_averages), min_size=queries, max_size=queries))
+    return counts, averages
+
+
+@given(
+    summary_matrices(),
+    # Rates near 0 and 1 clamp the budget at its lower and upper end.
+    st.sampled_from([1e-9, 0.01, 0.2, 0.5, 0.99, 1 - 1e-9]),
+    st.integers(min_value=1, max_value=3),
+)
+def test_batch_allocation_equals_scalar_solver_per_query(summaries, rate, floor):
+    counts, averages = summaries
+    batch = solve_allocation_batch(
+        np.array(counts), np.array(averages), rate, min_allocation=floor
+    )
+    assert batch.dtype == np.int64 and batch.shape == (len(counts), len(counts[0]))
+    for row, count_row, average_row in zip(batch.tolist(), counts, averages):
+        problems = [
+            AllocationProblem(f"p{index}", count, average)
+            for index, (count, average) in enumerate(zip(count_row, average_row))
+        ]
+        scalar = solve_allocation(problems, rate, min_allocation=floor)
+        assert row == [result.sample_size for result in scalar]
+
+
+def test_batch_allocation_rejects_what_the_scalar_solver_rejects():
+    ones = np.ones((2, 3))
+    for bad_counts in (np.full((2, 3), np.nan), np.full((2, 3), np.inf), ones * 2.0**50):
+        with pytest.raises(AllocationError, match="finite"):
+            solve_allocation_batch(bad_counts, ones, 0.2)
+    with pytest.raises(AllocationError, match="provider"):
+        solve_allocation_batch(np.ones((2, 0)), np.ones((2, 0)), 0.2)
+    with pytest.raises(AllocationError, match="provider"):
+        solve_allocation_batch(ones, np.ones((3, 2)), 0.2)
+    with pytest.raises(AllocationError, match="sampling_rate"):
+        solve_allocation_batch(ones, ones, 1.0)
+    with pytest.raises(AllocationError, match="min_allocation"):
+        solve_allocation_batch(ones, ones, 0.2, min_allocation=0)

@@ -211,4 +211,34 @@ def test_covering_and_proportions_match_pinned_outputs(name):
         assert [p.tolist() for p in store.covering_positions_batch(ranges[:1])] == [
             positions[0].tolist()
         ]
+        # Both passes hand back one flat array plus offsets; the per-query
+        # views hashed above are slices of it.
+        assert positions.flat.dtype == np.int64
+        assert np.array_equal(positions.flat, np.concatenate(list(positions)))
+        assert proportions.flat.tobytes() == np.concatenate(list(proportions)).tobytes()
+        assert np.array_equal(proportions.offsets, positions.offsets)
+        assert positions.counts.tolist() == [covering.size for covering in positions]
     assert sha.hexdigest() == expected
+
+
+def test_ragged_passes_without_dense_index_and_on_empty_input(clustered):
+    """The scalar fallback (no dense index) and a batch of zero queries."""
+    ranges = [{"age": (10, 60), "dept": (2, 6)}, {"hours": (90, 95)}, {"hours": (0, 12)}]
+    dense = build_metadata(clustered, dense=True)
+    sparse = build_metadata(clustered, dense=False)
+    positions = dense.covering_positions_batch(ranges)
+    proportions = dense.proportions_at_positions_batch(positions, ranges)
+    assert positions.counts[1] == 0  # no cluster holds hours >= 90: an empty segment
+    assert positions[1].size == 0 and proportions[1].size == 0
+    scalar_positions = sparse.covering_positions_batch(ranges)
+    assert np.array_equal(scalar_positions.flat, positions.flat)
+    assert np.array_equal(scalar_positions.offsets, positions.offsets)
+    assert scalar_positions.flat.dtype == np.int64
+    # Plain per-query lists are accepted as well as the ragged form.
+    scalar = sparse.proportions_at_positions_batch(list(positions), ranges)
+    assert scalar.flat == pytest.approx(proportions.flat.tolist(), abs=1e-12)
+    assert np.array_equal(scalar.offsets, proportions.offsets)
+    for store in (dense, sparse):
+        empty = store.covering_positions_batch([])
+        assert len(empty) == 0 and empty.flat.size == 0
+        assert len(store.proportions_at_positions_batch(empty, [])) == 0
