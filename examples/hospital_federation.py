@@ -73,7 +73,7 @@ def main() -> None:
     for query in workload:
         result = system.execute(query)
         allocations = {
-            report.provider_id: report.allocation for report in result.provider_reports
+            release.provider_id: release.allocation for release in result.provider_releases
         }
         print(query.to_sql("patients"))
         print(

@@ -15,7 +15,13 @@ This package wires the substrates together:
 
 from .accounting import QueryBudget, split_query_budget
 from .allocation import AllocationProblem, AllocationResult, solve_allocation
-from .result import BatchResult, ExecutionTrace, ProviderReport, QueryResult
+from .result import (
+    BatchResult,
+    ExecutionTrace,
+    ProviderDiagnostics,
+    ProviderRelease,
+    QueryResult,
+)
 from .sensitivity import (
     avg_proportion_sensitivity,
     delta_r,
@@ -30,7 +36,8 @@ __all__ = [
     "FederatedAQPSystem",
     "QueryResult",
     "BatchResult",
-    "ProviderReport",
+    "ProviderRelease",
+    "ProviderDiagnostics",
     "ExecutionTrace",
     "QueryBudget",
     "split_query_budget",

@@ -1,11 +1,23 @@
 """Query results and execution traces.
 
 A :class:`QueryResult` carries the DP answer plus everything needed by the
-evaluation harness: the exact answer (when the caller asked for it), the
-per-provider reports, timing per phase, work counters (clusters/rows
+evaluation harness: the exact answer (when the caller asked for it), what
+each provider released, timing per phase, work counters (clusters/rows
 scanned vs. available), message/communication accounting and the noise that
 was injected.  Keeping the trace attached to the result is what lets the
 benchmark harness regenerate every figure from a single protocol run.
+
+What a provider contributed comes in two records that must not be confused:
+
+* :class:`ProviderRelease` — a function of the messages the aggregator
+  holds anyway (the allocation it granted, the estimate it received).  It
+  exists on every transport carrier.
+* :class:`ProviderDiagnostics` — the provider's own view of its answer: the
+  estimate before noise, the noise, the exact covering count, the work it
+  did.  These numbers undo the release, so they never leave the provider:
+  the wire codec refuses them, and only the in-process carrier (where the
+  provider object *is* in the caller's process) hands them back.  Over a
+  wire they are simply absent.
 """
 
 from __future__ import annotations
@@ -15,29 +27,49 @@ from typing import Iterator, Mapping
 
 from ..query.model import RangeQuery
 
-__all__ = ["ProviderReport", "ExecutionTrace", "QueryResult", "BatchResult"]
+__all__ = [
+    "ProviderRelease",
+    "ProviderDiagnostics",
+    "ExecutionTrace",
+    "QueryResult",
+    "BatchResult",
+]
 
 
 @dataclass(frozen=True)
-class ProviderReport:
-    """What one data provider contributed to a query."""
+class ProviderRelease:
+    """What one provider released for a query, as the aggregator saw it.
+
+    Built by the aggregator from the ``AllocationMessage`` it sent and the
+    ``EstimateMessage`` it received, so it holds nothing the protocol did
+    not already put on the wire.
+    """
 
     provider_id: str
-    covering_clusters: int
     allocation: int
-    sampled_clusters: int
     approximated: bool
+    released_value: float
+
+
+@dataclass(frozen=True)
+class ProviderDiagnostics:
+    """One provider's local, un-released account of its answer to a query.
+
+    ``released_value`` of the matching :class:`ProviderRelease` equals
+    ``local_estimate + local_noise``.  ``exact_local_answer`` is set on the
+    exact path (fewer than ``N_min`` covering clusters) only.  Never
+    serialised: the wire codec raises on it.
+    """
+
+    provider_id: str
     local_estimate: float
     local_noise: float
     smooth_sensitivity: float
+    covering_clusters: int
+    sampled_clusters: int
     rows_scanned: int
     rows_available: int
     exact_local_answer: int | None = None
-
-    @property
-    def released_value(self) -> float:
-        """The value the provider actually sent (estimate + its own noise)."""
-        return self.local_estimate + self.local_noise
 
 
 @dataclass
@@ -49,6 +81,13 @@ class ExecutionTrace:
     :mod:`repro.cache`).  For cache hits the work counters
     (``clusters_scanned`` / ``rows_scanned``) carry the numbers of the
     *original* release — re-serving it scanned nothing.
+
+    The three provider work counters (``clusters_scanned``,
+    ``rows_scanned``, ``rows_available``) are read from
+    :class:`ProviderDiagnostics`, so behind a wire carrier they stay ``0`` —
+    always an ``int``, never ``None``, because callers sum them (the
+    end-to-end benchmark folds them into its per-layer rows, which
+    therefore read 0 on its socket workload by design).
     """
 
     phase_seconds: dict[str, float] = field(default_factory=dict)
@@ -78,19 +117,27 @@ class ExecutionTrace:
 
 @dataclass
 class QueryResult:
-    """Final answer of one federated query with its full trace."""
+    """Final answer of one federated query with its full trace.
+
+    ``provider_diagnostics`` (aligned with ``provider_releases``) and, on
+    the plain path, ``noise_injected`` exist only where the providers share
+    the caller's process; behind a wire carrier both are ``None``.  Under
+    SMC the single noise is drawn by the aggregator, so ``noise_injected``
+    is known on every carrier.
+    """
 
     query: RangeQuery
     value: float
     epsilon_spent: float
     delta_spent: float
     used_smc: bool
-    provider_reports: tuple[ProviderReport, ...]
+    provider_releases: tuple[ProviderRelease, ...]
     trace: ExecutionTrace
     exact_value: int | None = None
-    noise_injected: float = 0.0
+    noise_injected: float | None = None
     degraded: bool = False
     providers_missing: tuple[str, ...] = ()
+    provider_diagnostics: tuple[ProviderDiagnostics, ...] | None = None
 
     @property
     def relative_error(self) -> float | None:
@@ -203,7 +250,7 @@ class BatchResult:
     @property
     def answer_cache_hit_rate(self) -> float:
         """Fraction of (query, provider) answers served by reuse."""
-        slots = sum(len(result.provider_reports) for result in self.results)
+        slots = sum(len(result.provider_releases) for result in self.results)
         if slots == 0:
             return 0.0
         return self.answer_cache_hits / slots

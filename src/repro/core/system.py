@@ -372,12 +372,13 @@ class FederatedAQPSystem:
                 epsilon_spent=answer.epsilon_charged,
                 delta_spent=answer.delta_charged,
                 used_smc=answer.used_smc,
-                provider_reports=answer.provider_reports,
+                provider_releases=answer.provider_releases,
                 trace=answer.trace,
                 exact_value=exact_value,
                 noise_injected=answer.noise_injected,
                 degraded=answer.degraded,
                 providers_missing=answer.providers_missing,
+                provider_diagnostics=answer.provider_diagnostics,
             )
             for range_query, answer, exact_value in zip(range_queries, answers, exact_values)
         )
@@ -694,12 +695,13 @@ class PhasedExecution:
                 epsilon_spent=answer.epsilon_charged,
                 delta_spent=answer.delta_charged,
                 used_smc=answer.used_smc,
-                provider_reports=answer.provider_reports,
+                provider_releases=answer.provider_releases,
                 trace=answer.trace,
                 exact_value=exact_value,
                 noise_injected=answer.noise_injected,
                 degraded=answer.degraded,
                 providers_missing=answer.providers_missing,
+                provider_diagnostics=answer.provider_diagnostics,
             )
             for query, answer, exact_value in zip(
                 self.queries, answers, self.exact_values

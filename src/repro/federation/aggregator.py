@@ -57,7 +57,7 @@ from ..cache.planner import ReusePlan, ReusePlanner
 from ..config import SystemConfig
 from ..core.accounting import QueryBudget
 from ..core.allocation import solve_allocation_batch
-from ..core.result import ExecutionTrace, ProviderReport
+from ..core.result import ExecutionTrace, ProviderDiagnostics, ProviderRelease
 from ..dp.mechanisms import LaplaceMechanism
 from ..errors import (
     InjectedFaultError,
@@ -80,7 +80,7 @@ from .messages import (
     SummaryMessage,
 )
 from .network import NetworkStats, SimulatedNetwork
-from .provider import DataProvider, LocalAnswer
+from .provider import DataProvider
 from .smc import SMCSimulator
 from .transport import Transport, create_transport
 
@@ -94,18 +94,25 @@ _FAILED = object()
 
 @dataclass(frozen=True)
 class FederatedAnswer:
-    """The aggregator's combined answer plus the per-provider reports.
+    """The aggregator's combined answer plus what each provider released.
 
     Attributes
     ----------
     value:
         The combined DP answer.
     noise_injected:
-        Total noise added across providers (or the single SMC noise).
+        The single SMC noise, which the aggregator drew itself; on the plain
+        path the sum of the providers' own noises, read from their
+        diagnostics — ``None`` where there are none (any wire carrier).
     used_smc:
         Whether the SMC combination path produced the value.
-    provider_reports:
-        One diagnostic report per *answering* provider, in federation order.
+    provider_releases:
+        One release per *answering* provider, in federation order, built
+        from the allocation sent and the estimate received.
+    provider_diagnostics:
+        The answering providers' local diagnostics, aligned with
+        ``provider_releases`` — only when every one of them shares this
+        process (the in-process carrier); ``None`` otherwise.
     trace:
         Work / timing / communication / reuse accounting.
     epsilon_charged, delta_charged:
@@ -124,14 +131,15 @@ class FederatedAnswer:
     """
 
     value: float
-    noise_injected: float
+    noise_injected: float | None
     used_smc: bool
-    provider_reports: tuple[ProviderReport, ...]
+    provider_releases: tuple[ProviderRelease, ...]
     trace: ExecutionTrace
     epsilon_charged: float = 0.0
     delta_charged: float = 0.0
     degraded: bool = False
     providers_missing: tuple[str, ...] = ()
+    provider_diagnostics: tuple[ProviderDiagnostics, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -195,8 +203,10 @@ class PhasedBatch:
     summaries: dict[int, list[SummaryMessage]] = field(default_factory=dict)
     summary_reuse: dict[int, list[bool]] = field(default_factory=dict)
     allocations: dict[int, list[AllocationMessage]] = field(default_factory=dict)
-    answers: dict[int, list[LocalAnswer]] = field(default_factory=dict)
+    answers: dict[int, list[EstimateMessage]] = field(default_factory=dict)
     answer_reuse: dict[int, list[bool]] = field(default_factory=dict)
+    # Provider-local, present only for providers on the in-process carrier.
+    diagnostics: dict[int, list[ProviderDiagnostics]] = field(default_factory=dict)
     survivors: list[int] = field(default_factory=list)
     clusters_available: int = 0
     providers_missing: tuple[str, ...] = ()
@@ -529,7 +539,7 @@ class Aggregator:
         try:
             with self._phase_span("batch.local_answering", phased):
                 with phased.stopwatch.measure("local_answering"):
-                    answers, answer_reuse = self._collect_answers(
+                    answers, answer_reuse, diagnostics = self._collect_answers(
                         phased.allocations,
                         phased.budget,
                         phased.smc,
@@ -546,6 +556,7 @@ class Aggregator:
             self._release_sessions(phased)
         phased.answers = answers
         phased.answer_reuse = answer_reuse
+        phased.diagnostics = diagnostics
         phased.survivors = sorted(answers)
         # Provider-derived trace inputs are captured here, on the thread
         # that owns provider state: an overlapped pipeline may settle this
@@ -612,6 +623,15 @@ class Aggregator:
                     )
                     for index in range(num_queries)
                 ]
+        # Diagnostics describe a query only when every answering provider
+        # handed its own back; one provider behind a wire makes them absent.
+        diagnostics = (
+            phased.diagnostics
+            if all(provider_index in phased.diagnostics for provider_index in survivors)
+            else None
+        )
+        allocations = phased.allocations
+        provider_ids = [self.providers[p].provider_id for p in survivors]
 
         phase_seconds = phased.stopwatch.as_dict()
         summary_survivors = sorted(phased.summaries)
@@ -620,9 +640,24 @@ class Aggregator:
         results: list[FederatedAnswer] = []
         for index in range(num_queries):
             value, noise = combined[index]
-            reports = tuple(
-                answers[provider_index][index].report for provider_index in survivors
+            releases = tuple(
+                ProviderRelease(
+                    provider_id=provider_id,
+                    allocation=allocations[p][index].sample_size,
+                    approximated=answers[p][index].approximated,
+                    released_value=answers[p][index].value,
+                )
+                for provider_id, p in zip(provider_ids, survivors)
             )
+            local = None
+            if diagnostics is not None:
+                local = tuple(diagnostics[p][index] for p in survivors)
+                if not phased.smc:
+                    # A diagnostic read, not a protocol input: the released
+                    # value above is already the sum of noised estimates.
+                    noise = float(sum(entry.local_noise for entry in local))
+            # Work counters come from diagnostics only: 0 behind a wire.
+            work = local or ()
             # Charge masks run over every provider that delivered a summary:
             # providers lost before the summary released nothing and spend
             # nothing; providers lost between summary and answer spent only
@@ -645,10 +680,10 @@ class Aggregator:
                 simulated_network_seconds=phased.accounting[index].simulated_seconds,
                 messages_sent=phased.accounting[index].messages,
                 bytes_sent=phased.accounting[index].bytes_sent,
-                clusters_scanned=sum(report.sampled_clusters for report in reports),
+                clusters_scanned=sum(entry.sampled_clusters for entry in work),
                 clusters_available=phased.clusters_available,
-                rows_scanned=sum(report.rows_scanned for report in reports),
-                rows_available=sum(report.rows_available for report in reports),
+                rows_scanned=sum(entry.rows_scanned for entry in work),
+                rows_available=sum(entry.rows_available for entry in work),
                 smc_operations=0,
                 summary_cache_hits=sum(
                     summary_reuse[p][index] for p in summary_survivors
@@ -662,12 +697,13 @@ class Aggregator:
                     value=value,
                     noise_injected=noise,
                     used_smc=phased.smc,
-                    provider_reports=reports,
+                    provider_releases=releases,
                     trace=trace,
                     epsilon_charged=epsilon_charged,
                     delta_charged=delta_charged,
                     degraded=bool(phased.failed),
                     providers_missing=phased.providers_missing,
+                    provider_diagnostics=local,
                 )
             )
         if phased.owns_trace:
@@ -1083,11 +1119,17 @@ class Aggregator:
         use_smc: bool,
         accounting: Sequence[_QueryAccounting],
         failed: dict[int, str],
-    ) -> tuple[dict[int, list[LocalAnswer]], dict[int, list[bool]]]:
-        """Answer lists plus cache-hit flags, keyed by provider index.
+    ) -> tuple[
+        dict[int, list[EstimateMessage]],
+        dict[int, list[bool]],
+        dict[int, list[ProviderDiagnostics]],
+    ]:
+        """Estimate lists, cache-hit flags and diagnostics, keyed by provider index.
 
         Same contract as :meth:`_collect_summaries`: only providers that
-        delivered the phase appear; new failures land in ``failed``.
+        delivered the phase appear; new failures land in ``failed``.  The
+        diagnostics dict holds only the providers whose carrier handed them
+        back (the in-process one).
         """
         provider_ids = {provider.provider_id for provider in self.providers}
         for provider_allocations in allocations.values():
@@ -1103,32 +1145,38 @@ class Aggregator:
             )
 
         outcomes = self._fanout_resilient("answer", active, post, failed)
-        answers = {index: local_answers for index, (local_answers, _) in outcomes.items()}
-        reuse_flags = {index: reuse for index, (_, reuse) in outcomes.items()}
+        answers = {index: messages for index, (messages, _, _) in outcomes.items()}
+        reuse_flags = {index: reuse for index, (_, reuse, _) in outcomes.items()}
+        diagnostics = {
+            index: local
+            for index, (_, _, local) in outcomes.items()
+            if local is not None
+        }
         for index in sorted(answers):
             # Estimates have a data-independent constant size as well.
             if answers[index]:
-                self._send_uniform(
-                    answers[index][0].message.payload_bytes(), accounting
-                )
-        return answers, reuse_flags
+                self._send_uniform(answers[index][0].payload_bytes(), accounting)
+        return answers, reuse_flags, diagnostics
 
     def _combine(
         self,
-        answers: Sequence[LocalAnswer],
+        messages: Sequence[EstimateMessage],
         budget: QueryBudget,
         use_smc: bool,
         accounting: _QueryAccounting,
-    ) -> tuple[float, float]:
-        messages: list[EstimateMessage] = [answer.message for answer in answers]
+    ) -> tuple[float, float | None]:
+        """``(combined value, noise the aggregator injected)`` of one query.
+
+        Reads released messages only.  The plain path injects nothing here
+        (``None``); what the providers added is a diagnostic, read by
+        :meth:`settle_batch` where diagnostics exist.
+        """
         if not use_smc:
-            total = sum(message.value for message in messages)
-            noise = sum(answer.report.local_noise for answer in answers)
-            return float(total), float(noise)
+            return float(sum(message.value for message in messages)), None
 
         smc = SMCSimulator(
             config=self.config.smc,
-            num_parties=max(2, len(answers)),
+            num_parties=max(2, len(messages)),
             rng=derive_rng(self._rng, "smc"),
         )
         shared_estimates = [smc.share(message.value) for message in messages]

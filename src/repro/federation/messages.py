@@ -5,6 +5,14 @@ are tiny and their size is independent of the data: a query, two noisy
 scalars per provider, one integer allocation per provider, and one noisy
 estimate per provider.  Each message knows its approximate serialised size so
 the simulated network can charge a realistic transfer cost.
+
+This module is the exhaustive list of what may leave a provider: the
+classes in :data:`ALL_MESSAGE_TYPES` plus the value types they carry
+(``RangeQuery``, ``Interval``, ``QueryBudget``) are all the wire codec
+(:mod:`repro.federation.transport`) knows how to build.  A provider's own
+diagnostics (:class:`~repro.core.result.ProviderDiagnostics`) are not a
+message; the codec refuses them.  See ``docs/protocol.md``, "Who sees
+what".
 """
 
 from __future__ import annotations
@@ -99,21 +107,25 @@ class EstimateMessage:
     """Provider -> aggregator: the (noised or to-be-noised) local estimate.
 
     In the plain-DP configuration ``value`` already includes the provider's
-    own Laplace noise and ``smooth_sensitivity`` is informational.  In the
-    SMC configuration the value and the sensitivity are secret-shared instead
-    of sent in the clear; this message then carries only the share destined
-    to the aggregator and has the same size.
+    own Laplace noise and ``smooth_sensitivity`` is ``None``: the smooth
+    sensitivity is a function of the drawn clusters (``1/p`` of the
+    sample), nothing on the plain path needs it, and releasing it in the
+    clear would be a second, un-noised statistic of the data.  In the SMC
+    configuration the value and the sensitivity are secret-shared instead
+    of sent in the clear (``secure_max`` needs the sensitivity); this
+    message then carries only the shares destined to the aggregator.
     """
 
     query_id: int
     provider_id: str
     value: float
-    smooth_sensitivity: float
+    smooth_sensitivity: float | None
     approximated: bool
 
     def payload_bytes(self) -> int:
-        """Two scalars, one flag, and a header."""
-        return _HEADER_BYTES + 2 * _SCALAR_BYTES + 1
+        """The value, the sensitivity when it is sent, one flag, and a header."""
+        scalars = 1 if self.smooth_sensitivity is None else 2
+        return _HEADER_BYTES + scalars * _SCALAR_BYTES + 1
 
 
 @dataclass(frozen=True)
@@ -161,5 +173,7 @@ ALL_MESSAGE_TYPES = (
 """Every protocol message class, in protocol order.
 
 The wire codec (:mod:`repro.federation.transport`) must round-trip each of
-these losslessly; the transport test suite iterates this tuple so a new
-message class cannot be added without a round-trip property test."""
+these losslessly and builds nothing else of its own; the transport test
+suite iterates this tuple so a new message class cannot be added without a
+round-trip property test, and its wire-capture test fails on any class a
+real drain puts on the wire that is not listed here."""

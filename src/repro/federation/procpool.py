@@ -210,7 +210,6 @@ def _worker_main(conn, spec: _ProviderSpec) -> None:
                 tracer=recorder,
                 kind="process",
                 local_ops={"ingest": ingest},
-                worker_pid=os.getpid(),
             )
 
         if spec.delta.rows:

@@ -17,7 +17,13 @@ single-query and a batched form:
    under ``eps_E``, or un-noised when the SMC path will inject a single
    noise).  The batched form evaluates ``Q(C)`` for every needed
    (query, cluster) pair in one vectorised pass over the contiguous cluster
-   layout; per-query EM sampling is semantically unchanged.
+   layout; per-query EM sampling is semantically unchanged.  What is
+   returned is the release, :class:`~.messages.EstimateMessage`, and nothing
+   else; the provider's own account of each answer
+   (:class:`~repro.core.result.ProviderDiagnostics`: the estimate before
+   noise, the noise, the exact covering count, the work done) goes only to
+   a list the *caller* passes as ``diagnostics_out`` — which a wire server
+   never does.
 3. :meth:`exact_answer` / :meth:`exact_answer_batch` — the non-private
    plain-text baseline used by the speed-up metric.
 
@@ -58,7 +64,7 @@ from ..cache.key import answer_key, release_survives_fold, summary_key
 from ..cache.store import ReleaseCache
 from ..config import DEFAULT_INGEST, CacheConfig, IngestConfig
 from ..core.accounting import QueryBudget
-from ..core.result import ProviderReport
+from ..core.result import ProviderDiagnostics
 from ..core.sensitivity import avg_proportion_sensitivity, delta_r
 from ..dp.mechanisms import laplace_noise_scale
 from ..errors import ProtocolError
@@ -93,7 +99,7 @@ from .dpmath import (
 )
 from .messages import AllocationMessage, EstimateMessage, QueryRequest, SummaryMessage
 
-__all__ = ["DataProvider", "LocalAnswer"]
+__all__ = ["DataProvider"]
 
 
 @dataclass
@@ -131,14 +137,6 @@ class _QuerySession:
     proportions: np.ndarray | None = None
     proportions_sum: float = 0.0
     delta_watermark: int = 0
-
-
-@dataclass(frozen=True)
-class LocalAnswer:
-    """A provider's local outcome for one query."""
-
-    message: EstimateMessage
-    report: ProviderReport
 
 
 @dataclass
@@ -721,14 +719,17 @@ class DataProvider:
         budget: QueryBudget,
         *,
         use_smc: bool = False,
-    ) -> LocalAnswer:
+        diagnostics_out: list[ProviderDiagnostics] | None = None,
+    ) -> EstimateMessage:
         """Answer one query locally according to the granted allocation.
 
         When ``use_smc`` is true the returned estimate is **not** noised; the
         aggregator is expected to secret-share it, sum obliviously, and inject
         a single Laplace noise calibrated with the maximum sensitivity.
         """
-        return self.answer_batch([allocation], budget, use_smc=use_smc)[0]
+        return self.answer_batch(
+            [allocation], budget, use_smc=use_smc, diagnostics_out=diagnostics_out
+        )[0]
 
     def answer_batch(
         self,
@@ -737,7 +738,8 @@ class DataProvider:
         *,
         use_smc: bool = False,
         reuse_out: list[bool] | None = None,
-    ) -> list[LocalAnswer]:
+        diagnostics_out: list[ProviderDiagnostics] | None = None,
+    ) -> list[EstimateMessage]:
         """Answer a workload locally with vectorised sampling and evaluation.
 
         Each query draws from its own session stream exactly as a batch of
@@ -762,22 +764,31 @@ class DataProvider:
             aliased to an identical release earlier in this batch) — no
             budget spent, no cluster scanned — False when it was freshly
             computed.
+        diagnostics_out:
+            Optional list the method appends one
+            :class:`~repro.core.result.ProviderDiagnostics` per allocation
+            to.  Provider-local: the in-process carrier passes it, no wire
+            server does, and the codec refuses its contents.
 
         Returns
         -------
-        list of LocalAnswer
-            One local answer per allocation, aligned with the input order.
-            A cache hit re-serves the original estimate message and report
-            byte-for-byte (only the transport ``query_id`` is rewritten).
+        list of EstimateMessage
+            One release per allocation, aligned with the input order.  A
+            cache hit re-serves the original estimate message (and its
+            diagnostics) byte-for-byte; only the transport ``query_id`` is
+            rewritten.
         """
         with ambient_span(
             "provider.answer_batch",
             provider=self.provider_id,
             queries=len(allocations),
         ):
-            return self._answer_batch_impl(
+            messages, diagnostics = self._answer_batch_impl(
                 allocations, budget, use_smc=use_smc, reuse_out=reuse_out
             )
+        if diagnostics_out is not None:
+            diagnostics_out.extend(diagnostics)
+        return messages
 
     def _answer_batch_impl(
         self,
@@ -786,12 +797,13 @@ class DataProvider:
         *,
         use_smc: bool = False,
         reuse_out: list[bool] | None = None,
-    ) -> list[LocalAnswer]:
+    ) -> tuple[list[EstimateMessage], list[ProviderDiagnostics]]:
         if not allocations:
-            return []
+            return [], []
         cache = self.cache
         use_cache = cache.enabled and not use_smc
-        results: list[LocalAnswer | None] = [None] * len(allocations)
+        results: list[EstimateMessage | None] = [None] * len(allocations)
+        diagnostics: list[ProviderDiagnostics | None] = [None] * len(allocations)
         hit_flags = [False] * len(allocations)
         sessions: list[_QuerySession] = []
         keys: list[tuple | None] = [None] * len(allocations)
@@ -822,11 +834,8 @@ class DataProvider:
                 keys[index] = key
                 cached = cache.get(key, epoch=self._layout_epoch)
                 if cached is not None:
-                    message, report = cached
-                    results[index] = LocalAnswer(
-                        message=replace(message, query_id=allocation.query_id),
-                        report=report,
-                    )
+                    message, diagnostics[index] = cached
+                    results[index] = replace(message, query_id=allocation.query_id)
                     hit_flags[index] = True
                     continue
                 owner = pending.get(key)
@@ -837,37 +846,35 @@ class DataProvider:
                 pending[key] = (index, [])
             fresh.append(index)
         if fresh:
-            answers = self._answer_fresh(
+            messages, fresh_diagnostics = self._answer_fresh(
                 [allocations[index] for index in fresh],
                 [sessions[index] for index in fresh],
                 budget,
                 use_smc,
             )
-            for index, answer in zip(fresh, answers):
-                results[index] = answer
+            for index, message, local in zip(fresh, messages, fresh_diagnostics):
+                results[index] = message
+                diagnostics[index] = local
                 if use_cache:
                     key = keys[index]
                     cache.put(
                         key,
-                        (answer.message, answer.report),
+                        (message, local),
                         epoch=self._layout_epoch,
                         epsilon=budget.epsilon_sampling + budget.epsilon_estimation,
                     )
                     for aliased in pending[key][1]:
-                        results[aliased] = LocalAnswer(
-                            message=replace(
-                                answer.message,
-                                query_id=allocations[aliased].query_id,
-                            ),
-                            report=answer.report,
+                        results[aliased] = replace(
+                            message, query_id=allocations[aliased].query_id
                         )
+                        diagnostics[aliased] = local
         if reuse_out is not None:
             reuse_out.extend(hit_flags)
         if any(result is None for result in results):
             raise ProtocolError(
                 "internal error: a query of the batch produced no local answer"
             )
-        return results
+        return results, diagnostics
 
     def _materialize_sessions(self, sessions: Sequence[_QuerySession]) -> None:
         """Fill the covering sets/proportions of lazily opened sessions.
@@ -933,7 +940,7 @@ class DataProvider:
         sessions: Sequence[_QuerySession],
         budget: QueryBudget,
         use_smc: bool,
-    ) -> list[LocalAnswer]:
+    ) -> tuple[list[EstimateMessage], list[ProviderDiagnostics]]:
         """Sample, evaluate and release the queries that need a fresh answer.
 
         A query with fewer than ``N_min`` covering clusters is answered
@@ -951,6 +958,9 @@ class DataProvider:
         1 (the constant bound 1 is trivially beta-smooth, so ``max(smooth,
         1)`` remains a valid smooth upper bound of the combined release).  A
         watermark-zero query is untouched bit for bit.
+
+        Returns the releases and, aligned with them, the diagnostics; the
+        smooth sensitivity goes into the release under SMC only.
         """
         self._open_streams(sessions)
         self._materialize_sessions(sessions)
@@ -1034,7 +1044,8 @@ class DataProvider:
                 )
         sampled = segment_lengths(pair_offsets).tolist()
         rows_stored = self.clustered.num_rows
-        results: list[LocalAnswer] = []
+        messages: list[EstimateMessage] = []
+        diagnostics: list[ProviderDiagnostics] = []
         for index, (allocation, session) in enumerate(zip(allocations, sessions)):
             approx = bool(approximated[index])
             estimate = estimates[index]
@@ -1047,31 +1058,29 @@ class DataProvider:
                     budget.epsilon_estimation
                 )
                 noise = float(session.rng.laplace(0.0, scale))
-            results.append(
-                LocalAnswer(
-                    message=EstimateMessage(
-                        query_id=allocation.query_id,
-                        provider_id=self.provider_id,
-                        value=float(estimate) + noise,
-                        smooth_sensitivity=sensitivity,
-                        approximated=approx,
-                    ),
-                    report=ProviderReport(
-                        provider_id=self.provider_id,
-                        covering_clusters=session.covering_positions.size,
-                        allocation=allocation.sample_size,
-                        sampled_clusters=sampled[index],
-                        approximated=approx,
-                        local_estimate=float(estimate),
-                        local_noise=noise,
-                        smooth_sensitivity=sensitivity,
-                        rows_scanned=rows_scanned[index],
-                        rows_available=rows_stored + session.delta_watermark,
-                        exact_local_answer=None if approx else estimate,
-                    ),
+            messages.append(
+                EstimateMessage(
+                    query_id=allocation.query_id,
+                    provider_id=self.provider_id,
+                    value=float(estimate) + noise,
+                    smooth_sensitivity=sensitivity if use_smc else None,
+                    approximated=approx,
                 )
             )
-        return results
+            diagnostics.append(
+                ProviderDiagnostics(
+                    provider_id=self.provider_id,
+                    local_estimate=float(estimate),
+                    local_noise=noise,
+                    smooth_sensitivity=sensitivity,
+                    covering_clusters=session.covering_positions.size,
+                    sampled_clusters=sampled[index],
+                    rows_scanned=rows_scanned[index],
+                    rows_available=rows_stored + session.delta_watermark,
+                    exact_local_answer=None if approx else estimate,
+                )
+            )
+        return messages, diagnostics
 
     # -- baseline --------------------------------------------------------------
 

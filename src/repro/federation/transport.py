@@ -53,16 +53,27 @@ frames (pipe envelopes on the process carrier), ``bytes_sent`` counts
 framed (pickled) bytes, and ``frames_duplicated`` counts reply frames
 delivered more than once and discarded by the receiver's sequence check.
 
+**What may cross.**  The codec builds the classes of
+:data:`~repro.federation.messages.ALL_MESSAGE_TYPES` and the value types
+they carry (``RangeQuery``, ``Interval``, ``QueryBudget``), nothing else.
+A provider's :class:`~repro.core.result.ProviderDiagnostics` — the
+estimate before noise, the noise, the exact covering count — is refused
+with a :class:`~repro.errors.TransportError`, never dropped silently, and
+no op returns one: the server side (:func:`_execute_op`) never asks the
+provider for them.
+
 **Determinism.**  The wire codec round-trips every value exactly: integers
 stay integers, floats serialise via ``repr`` (which round-trips IEEE-754
 doubles bit-for-bit), tuples and numpy arrays are tagged so their types
 survive.  A batch — a list of two or more messages of one class — is
-written column by column (the class named once, one JSON array per
-field), which changes how many bytes a frame takes and nothing about
-what comes out: every object is rebuilt through its own constructor, in
-list order.  Provider-side randomness is keyed by ``seed_material`` and
-request order, both of which every carrier preserves — so process, socket,
-loopback, and in-process federations are bit-identical under a fixed seed.
+written column by column (:func:`_list_to_wire`: the class and the row
+count named once, then one entry per field, a constant column once and a
+float column as packed doubles), which changes how many bytes a frame
+takes and nothing about what comes out: every object is rebuilt through
+its own constructor, in list order.  Provider-side randomness is keyed by
+``seed_material`` and request order, both of which every carrier
+preserves — so process, socket, loopback, and in-process federations are
+bit-identical under a fixed seed.
 
 **Fault points.**  When the owning aggregator installs a
 :class:`~repro.testing.faults.FaultInjector`, the wire carriers consult it
@@ -97,7 +108,7 @@ import numpy as np
 
 from .. import errors as _errors
 from ..core.accounting import QueryBudget
-from ..core.result import ProviderReport
+from ..core.result import ProviderDiagnostics
 from ..errors import ReproError, TransportError, TransportTimeoutError
 from ..query.model import Aggregation, Interval, RangeQuery
 from ..storage.layout import KernelTelemetry, merge_active_telemetry, telemetry_active
@@ -112,7 +123,7 @@ from .messages import (
 )
 from .network import NetworkStats
 from .procpool import ProviderHost
-from .provider import DataProvider, LocalAnswer
+from .provider import DataProvider
 
 __all__ = [
     "Transport",
@@ -136,6 +147,9 @@ __all__ = [
 _TAG_DATACLASS = "__dc__"
 _TAG_FIELDS = "__f__"
 _TAG_COLUMNS = "__cols__"
+_TAG_ROWS = "__n__"
+_TAG_CONSTANT = "__k__"
+_TAG_DOUBLES = "__d__"
 _TAG_MAPPINGS = "__maps__"
 _TAG_TUPLE = "__tu__"
 _TAG_NDARRAY = "__nd__"
@@ -145,6 +159,9 @@ _RESERVED_KEYS = frozenset(
         _TAG_DATACLASS,
         _TAG_FIELDS,
         _TAG_COLUMNS,
+        _TAG_ROWS,
+        _TAG_CONSTANT,
+        _TAG_DOUBLES,
         _TAG_MAPPINGS,
         _TAG_TUPLE,
         _TAG_NDARRAY,
@@ -169,13 +186,12 @@ _WIRE_FIELDS: dict[type, tuple[str, ...]] = {
         Interval,
         RangeQuery,
         QueryBudget,
-        ProviderReport,
-        LocalAnswer,
     )
 }
 """Types the codec reconstructs by name — every protocol message plus the
-value types they carry (queries, budgets, reports, local answers) — each
-with its field names in constructor order, computed once here."""
+value types they carry (queries, intervals, budgets) — each with its field
+names in constructor order, computed once here.  This is the whole list:
+anything else a provider holds stays with the provider."""
 
 _WIRE_DATACLASSES: dict[str, type] = {cls.__name__: cls for cls in _WIRE_FIELDS}
 
@@ -215,6 +231,11 @@ def _to_wire(value: Any) -> Any:
         return value
     if isinstance(value, list):
         return _list_to_wire(value)
+    if cls is ProviderDiagnostics:
+        raise TransportError(
+            "ProviderDiagnostics is provider-local: the estimate before noise, "
+            "the noise and the exact counts never go on the wire"
+        )
     raise TransportError(f"cannot serialise {cls.__name__!r} for the wire")
 
 
@@ -240,12 +261,13 @@ def _items_to_wire(values: list) -> list:
 def _list_to_wire(values: Sequence[Any]) -> Any:
     """A JSON array — or, for two or more of one registered class, a column block.
 
-    The block ``{"__dc__": name, "__cols__": [column, ...]}`` names the
-    class once and holds one array per field, each lowered by this same
-    function: a column of nested dataclasses is itself a block, a scalar
-    column goes to the JSON encoder as it is.  Two or more ``dict``s travel
-    the same way, ``{"__maps__": [[keys of each], values of all]}``, so
-    what their values have in common (every ``RangeQuery.ranges`` holds
+    The block ``{"__dc__": name, "__n__": rows, "__cols__": [column, ...]}``
+    names the class and the row count once and holds one entry per field
+    (:func:`_column_to_wire`): a column of nested dataclasses is itself a
+    block, a constant column is its one value, a float column is packed
+    doubles, any other column an array.  Two or more ``dict``s travel the
+    same way, ``{"__maps__": [[keys of each], values of all]}``, so what
+    their values have in common (every ``RangeQuery.ranges`` holds
     ``Interval``s) is again one block.
     """
     kinds = set(map(type, values))
@@ -267,29 +289,62 @@ def _list_to_wire(values: Sequence[Any]) -> Any:
         if names is not None:
             return {
                 _TAG_DATACLASS: cls.__name__,
+                _TAG_ROWS: len(values),
                 _TAG_COLUMNS: [
-                    _list_to_wire([getattr(item, name) for item in values])
+                    _column_to_wire([getattr(item, name) for item in values])
                     for name in names
                 ],
             }
     return [_to_wire(item) for item in values]
 
 
-def _from_wire(value: Any) -> Any:
-    """Inverse of :func:`_to_wire`."""
+def _column_to_wire(column: list) -> Any:
+    """One field of a column block, as few bytes as it can take bit-exactly.
+
+    * every value the same plain value → ``{"__k__": value}``, sent once;
+    * Python floats otherwise → ``{"__d__": base64}``, the little-endian
+      IEEE-754 doubles, bit-exact by construction rather than by ``repr``;
+    * anything else → :func:`_list_to_wire` (an array, a nested block).
+
+    "The same" means one exact type and, for floats, one bit pattern —
+    never ``==``: ``0.0 == -0.0``, ``1 == 1.0 == True`` and
+    ``NaN != NaN``, while the answers digest packs doubles, so a released
+    ``-0.0`` must come back ``-0.0``.  A NaN column is packed, so its
+    payload bits survive too.
+    """
+    kinds = set(map(type, column))
+    if len(kinds) == 1:
+        (kind,) = kinds
+        first = column[0]
+        if kind is float:
+            packed = struct.pack(f"<{len(column)}d", *column)
+            if first == first and packed == packed[:8] * len(column):
+                return {_TAG_CONSTANT: first}
+            return {_TAG_DOUBLES: base64.b64encode(packed).decode("ascii")}
+        if kind in _PLAIN_TYPES:
+            return {_TAG_CONSTANT: first} if column.count(first) == len(column) else column
+    return _list_to_wire(column)
+
+
+def _from_wire(value: Any, rows: list[int]) -> Any:
+    """Inverse of :func:`_to_wire`.
+
+    ``rows`` is the one-element budget of block rows the frame may still
+    build (see :func:`_row_count`), shared by every block of the frame.
+    """
     kind = type(value)
     if kind is list:
         if _PLAIN_TYPES.issuperset(map(type, value)):
             return value
-        return [_from_wire(item) for item in value]
+        return [_from_wire(item, rows) for item in value]
     if kind is not dict:
         return value
     if _TAG_DATACLASS in value:
-        return _dataclasses_from_wire(value)
+        return _dataclasses_from_wire(value, rows)
     if _TAG_MAPPINGS in value:
-        return _mappings_from_wire(value[_TAG_MAPPINGS])
+        return _mappings_from_wire(value[_TAG_MAPPINGS], rows)
     if _TAG_TUPLE in value:
-        return tuple(_list_from_wire(value[_TAG_TUPLE]))
+        return tuple(_list_from_wire(value[_TAG_TUPLE], rows))
     if _TAG_ENUM in value:
         member = value[_TAG_ENUM]
         if type(member) is list:
@@ -301,12 +356,12 @@ def _from_wire(value: Any) -> Any:
         return array.reshape(tuple(shape)).copy()
     if not _RESERVED_KEYS.isdisjoint(value):
         raise TransportError("fields or columns without a wire type")
-    return dict(zip(value, _from_wire(list(value.values()))))
+    return dict(zip(value, _from_wire(list(value.values()), rows)))
 
 
-def _list_from_wire(value: Any) -> list:
+def _list_from_wire(value: Any, rows: list[int]) -> list:
     """Decode a position that must hold a list: a JSON array or a column block."""
-    decoded = _from_wire(value)
+    decoded = _from_wire(value, rows)
     if type(decoded) is not list:
         raise TransportError(
             f"expected an array or a column block, got {type(value).__name__}"
@@ -314,10 +369,61 @@ def _list_from_wire(value: Any) -> list:
     return decoded
 
 
-def _mappings_from_wire(value: Any) -> list[dict[str, Any]]:
+def _row_count(value: Any, rows: list[int]) -> int:
+    """A block's ``__n__``, validated and charged against the frame's budget.
+
+    ``__n__`` is the only length the decoder trusts, and a constant column
+    costs no bytes per row — so without a bound a few bytes could ask for
+    millions of objects.  Every frame starts with a budget of as many rows
+    as it has bytes; each block spends its ``__n__`` from it, nested blocks
+    included, so one frame can never build more objects than it is long.
+    """
+    if type(value) is not int or value < 0:
+        raise TransportError(f"block row count {value!r} is not a non-negative integer")
+    if value > rows[0]:
+        raise TransportError(
+            f"block of {value} rows exceeds what the frame can carry ({rows[0]} left)"
+        )
+    rows[0] -= value
+    return value
+
+
+def _column_from_wire(value: Any, count: int, rows: list[int]) -> list:
+    """Inverse of :func:`_column_to_wire`: exactly ``count`` values, or an error."""
+    if type(value) is dict and len(value) == 1:
+        if _TAG_CONSTANT in value:
+            constant = value[_TAG_CONSTANT]
+            if type(constant) not in _PLAIN_TYPES:
+                raise TransportError(
+                    f"a constant column holds one plain value, not "
+                    f"{type(constant).__name__}"
+                )
+            return [constant] * count
+        if _TAG_DOUBLES in value:
+            return _unpack_doubles(value[_TAG_DOUBLES], count)
+    column = _list_from_wire(value, rows)
+    if len(column) != count:
+        raise TransportError(f"column of {len(column)} values in a block of {count} rows")
+    return column
+
+
+def _unpack_doubles(data: Any, count: int) -> list[float]:
+    """``count`` little-endian doubles out of a base64 string of exactly their size."""
+    if type(data) is not str or len(data) != 4 * -(-8 * count // 3):
+        raise TransportError(f"packed column is not the base64 of {count} doubles")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as error:
+        raise TransportError(f"packed column is not base64: {error}") from error
+    if len(raw) != 8 * count:
+        raise TransportError(f"packed column holds {len(raw)} bytes, not {8 * count}")
+    return list(struct.unpack(f"<{count}d", raw))
+
+
+def _mappings_from_wire(value: Any, rows: list[int]) -> list[dict[str, Any]]:
     """The ``dict``s of a ``__maps__`` column: each takes its keys' share of the values."""
     key_lists, flat = value
-    values = _list_from_wire(flat)
+    values = _list_from_wire(flat, rows)
     if type(key_lists) is not list or not {list}.issuperset(map(type, key_lists)):
         raise TransportError("mappings column without one key array per mapping")
     keys = [key for key_list in key_lists for key in key_list]
@@ -329,11 +435,12 @@ def _mappings_from_wire(value: Any) -> list[dict[str, Any]]:
     return [dict(zip(key_list, taken)) for key_list in key_lists]
 
 
-def _dataclasses_from_wire(value: dict[str, Any]) -> Any:
+def _dataclasses_from_wire(value: dict[str, Any], rows: list[int]) -> Any:
     """One object out of a positional row, or a list of them out of a column block.
 
     Either way every object is rebuilt through its constructor, so the
     class's own ``__post_init__`` checks run on everything that arrives.
+    A block's columns must each hold exactly its ``__n__`` values.
     """
     name = value[_TAG_DATACLASS]
     cls = _WIRE_DATACLASSES.get(name) if isinstance(name, str) else None
@@ -345,12 +452,9 @@ def _dataclasses_from_wire(value: dict[str, Any]) -> Any:
     if type(items) is not list or len(items) != len(names):
         raise TransportError(f"{name} needs an array of {len(names)} fields or columns")
     if not is_block:
-        return cls(*_from_wire(items))
-    columns = [_list_from_wire(column) for column in items]
-    if len(set(map(len, columns))) > 1:
-        raise TransportError(
-            f"{name} block has columns of lengths {[len(c) for c in columns]}"
-        )
+        return cls(*_from_wire(items, rows))
+    count = _row_count(value.get(_TAG_ROWS), rows)
+    columns = [_column_from_wire(column, count, rows) for column in items]
     return [cls(*row) for row in zip(*columns)]
 
 
@@ -366,10 +470,12 @@ def deserialize(data: bytes) -> Any:
     and on *any* failure, because the bytes come from outside and decoding
     runs constructors on them: bad JSON, a block of the wrong shape, a
     value a ``__post_init__`` rejects, or whatever else a hostile peer
-    finds all mean the same thing to the caller.
+    finds all mean the same thing to the caller.  The blocks of one frame
+    build at most as many objects as the frame has bytes
+    (:func:`_row_count`).
     """
     try:
-        return _from_wire(json.loads(data.decode("utf-8")))
+        return _from_wire(json.loads(data.decode("utf-8")), [len(data)])
     except TransportError:
         raise
     except Exception as error:  # noqa: BLE001 - the wire is a trust boundary
@@ -470,7 +576,12 @@ class FrameDecoder:
 
 
 def _execute_op(provider: DataProvider, op: str, payload: dict[str, Any]) -> Any:
-    """Run one protocol op against a provider (the server side of the wire)."""
+    """Run one protocol op against a provider (the server side of the wire).
+
+    Replies carry released messages and reuse flags only: the answer op
+    never passes ``diagnostics_out``, so a provider's diagnostics are never
+    even built into a reply.
+    """
     if op == "summary":
         reuse: list[bool] = []
         messages = provider.prepare_summary_batch(
@@ -479,13 +590,13 @@ def _execute_op(provider: DataProvider, op: str, payload: dict[str, Any]) -> Any
         return {"messages": messages, "reuse": reuse}
     if op == "answer":
         reuse = []
-        answers = provider.answer_batch(
+        estimates = provider.answer_batch(
             list(payload["allocations"]),
             payload["budget"],
             use_smc=payload["use_smc"],
             reuse_out=reuse,
         )
-        return {"answers": answers, "reuse": reuse}
+        return {"answers": estimates, "reuse": reuse}
     if op == "forget":
         provider.forget_batch(list(payload["query_ids"]))
         return True
@@ -506,7 +617,6 @@ def serve_request(
     tracer: Any | None = None,
     kind: str,
     local_ops: Mapping[str, Callable[[DataProvider, dict], Any]] | None = None,
-    **span_tags: Any,
 ) -> dict[str, Any]:
     """Serve one decoded request envelope: the server boundary of every carrier.
 
@@ -518,6 +628,10 @@ def serve_request(
     ``provider`` outside ``[0, len(providers))`` or a payload that is not a
     mapping is answered with a typed ``TransportError`` reply, and an
     exception raised by the provider travels home the same way.
+
+    The server span, when the request carries a trace context, is tagged
+    ``provider`` / ``side`` / ``transport`` only: on the process carrier
+    it rides the reply, and nothing about the data may ride with it.
     """
     if not isinstance(envelope, dict):
         raise TransportError(
@@ -560,7 +674,6 @@ def serve_request(
                 provider=provider.provider_id,
                 side="server",
                 transport=kind,
-                **span_tags,
             ):
                 result = execute()
         else:
@@ -570,10 +683,14 @@ def serve_request(
         return {"seq": seq, "err": [type(error).__name__, str(error)]}
 
 
-def _phase_result(op: str, reply: dict[str, Any]) -> tuple[list, list[bool]]:
-    """``(messages or answers, reuse flags)`` out of a phase reply."""
-    items = reply["messages" if op == "summary" else "answers"]
-    return list(items), [bool(flag) for flag in reply["reuse"]]
+def _phase_result(op: str, reply: dict[str, Any]) -> tuple:
+    """What a phase call returns, out of its reply: ``(messages, reuse flags)``
+    for a summary, ``(estimates, reuse flags, None)`` for an answer — a
+    wire carries no diagnostics."""
+    reuse = [bool(flag) for flag in reply["reuse"]]
+    if op == "summary":
+        return list(reply["messages"]), reuse
+    return list(reply["answers"]), reuse, None
 
 
 class Transport:
@@ -636,8 +753,13 @@ class Transport:
         use_smc: bool,
         *,
         attempt: int = 1,
-    ) -> tuple[list[LocalAnswer], list[bool]]:
-        """Run the answer phase on provider ``index``; returns (answers, reuse)."""
+    ) -> tuple[list[EstimateMessage], list[bool], list[ProviderDiagnostics] | None]:
+        """Run the answer phase on provider ``index``.
+
+        Returns ``(estimates, reuse flags, diagnostics)``; the diagnostics
+        are ``None`` on every carrier but the in-process one, whose
+        provider shares the caller's process.
+        """
         raise NotImplementedError
 
     def forget_batch(self, index: int, query_ids: Sequence[int]) -> None:
@@ -756,11 +878,17 @@ class InProcessTransport(Transport):
         return messages, reuse
 
     def answer_batch(self, index, allocations, budget, use_smc, *, attempt=1):
+        # The one carrier that asks for diagnostics: nothing crosses a wire.
         reuse: list[bool] = []
-        answers = self.providers[index].answer_batch(
-            allocations, budget, use_smc=use_smc, reuse_out=reuse
+        diagnostics: list[ProviderDiagnostics] = []
+        estimates = self.providers[index].answer_batch(
+            allocations,
+            budget,
+            use_smc=use_smc,
+            reuse_out=reuse,
+            diagnostics_out=diagnostics,
         )
-        return answers, reuse
+        return estimates, reuse, diagnostics
 
     def forget_batch(self, index, query_ids):
         self.providers[index].forget_batch(query_ids)

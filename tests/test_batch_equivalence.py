@@ -2,9 +2,12 @@
 
 The batch engine's contract: for the same seed, ``execute_batch([q1..qn])``
 produces exactly the results of ``[execute(qi) for qi in ...]`` run on a
-fresh system built with the same seed — value for value, report for report —
-on every clustering policy, with and without SMC combination, and with the
-provider fan-out parallelised or not.
+fresh system built with the same seed — value for value, release for
+release — on every clustering policy, with and without SMC combination, and
+with the provider fan-out parallelised or not.  Provider diagnostics (the
+noise each provider drew, the rows it scanned) exist in-process only, so
+they are compared where both sides have them and must be absent where the
+providers sit behind a pipe.
 """
 
 from __future__ import annotations
@@ -73,17 +76,24 @@ WORKLOAD = [
 ]
 
 
-def _assert_equivalent(sequential, batch):
+def _assert_equivalent(sequential, batch, *, over_wire=False):
     assert len(sequential) == len(batch)
     for expected, actual in zip(sequential, batch):
         assert actual.value == expected.value
-        assert actual.noise_injected == expected.noise_injected
         assert actual.used_smc == expected.used_smc
-        assert actual.provider_reports == expected.provider_reports
-        assert actual.trace.rows_scanned == expected.trace.rows_scanned
-        assert actual.trace.clusters_scanned == expected.trace.clusters_scanned
+        assert actual.provider_releases == expected.provider_releases
         assert actual.trace.messages_sent == expected.trace.messages_sent
         assert actual.trace.bytes_sent == expected.trace.bytes_sent
+        if over_wire:
+            assert actual.provider_diagnostics is None
+            assert actual.trace.rows_scanned == actual.trace.clusters_scanned == 0
+            if not actual.used_smc:
+                assert actual.noise_injected is None
+            continue
+        assert actual.noise_injected == expected.noise_injected
+        assert actual.provider_diagnostics == expected.provider_diagnostics
+        assert actual.trace.rows_scanned == expected.trace.rows_scanned
+        assert actual.trace.clusters_scanned == expected.trace.clusters_scanned
 
 
 class TestBatchSequentialEquivalence:
@@ -111,7 +121,7 @@ class TestBatchSequentialEquivalence:
         serial_batch = _system("sequential").execute_batch(WORKLOAD, compute_exact=False)
         with _system("sequential", parallel=True) as parallel_system:
             parallel_batch = parallel_system.execute_batch(WORKLOAD, compute_exact=False)
-        _assert_equivalent(serial_batch.results, parallel_batch.results)
+        _assert_equivalent(serial_batch.results, parallel_batch.results, over_wire=True)
 
     def test_batch_exact_values_match_baseline(self):
         system = _system("sequential")

@@ -89,14 +89,19 @@ WORKLOAD = [
 QUERY = WORKLOAD[0]
 
 
-def _assert_equivalent(expected_results, actual_results):
+def _assert_equivalent(expected_results, actual_results, *, over_wire=False):
+    """Releases and charges on every carrier; diagnostics where they exist."""
     assert len(expected_results) == len(actual_results)
     for expected, actual in zip(expected_results, actual_results):
         assert actual.value == expected.value
-        assert actual.noise_injected == expected.noise_injected
-        assert actual.provider_reports == expected.provider_reports
+        assert actual.provider_releases == expected.provider_releases
         assert actual.epsilon_spent == expected.epsilon_spent
         assert actual.delta_spent == expected.delta_spent
+        if over_wire:
+            assert actual.provider_diagnostics is None
+            continue
+        assert actual.noise_injected == expected.noise_injected
+        assert actual.provider_diagnostics == expected.provider_diagnostics
 
 
 class TestDisabledCacheEquivalence:
@@ -135,7 +140,8 @@ class TestHitServesOriginalRelease:
         first = system.execute(QUERY, compute_exact=False)
         second = system.execute(QUERY, compute_exact=False)
         assert second.value == first.value
-        assert second.provider_reports == first.provider_reports
+        assert second.provider_releases == first.provider_releases
+        assert second.provider_diagnostics == first.provider_diagnostics
         assert second.noise_injected == first.noise_injected
         assert second.trace.summary_cache_hits == system.num_providers
         assert second.trace.answer_cache_hits == system.num_providers
@@ -186,8 +192,10 @@ class TestSessionStreams:
         return self._answers(provider, requests, sample_size)
 
     def _answers(self, provider, requests, sample_size: int):
+        """``([(release, diagnostics), ...], reuse flags)`` of one answer phase."""
         hits: list[bool] = []
-        answers = provider.answer_batch(
+        diagnostics: list = []
+        messages = provider.answer_batch(
             [
                 AllocationMessage(
                     query_id=request.query_id,
@@ -198,9 +206,10 @@ class TestSessionStreams:
             ],
             self.BUDGET,
             reuse_out=hits,
+            diagnostics_out=diagnostics,
         )
         provider.forget_batch([request.query_id for request in requests])
-        return answers, hits
+        return list(zip(messages, diagnostics)), hits
 
     def test_batch_hitting_in_both_phases_builds_no_generator(self, monkeypatch):
         provider = _system(ENABLED).providers[0]
@@ -245,7 +254,7 @@ class TestSessionStreams:
         eager_answers, eager_hits = self._answers(eager, repeats, 4)
         assert lazy_hits == eager_hits == [False] * len(WORKLOAD)
         assert lazy_answers == eager_answers
-        assert any(answer.report.local_noise != 0.0 for answer in lazy_answers)
+        assert any(local.local_noise != 0.0 for _, local in lazy_answers)
 
 
 class TestBudgetCharging:
@@ -404,6 +413,6 @@ class TestModes:
         with _system(ENABLED, parallel=True) as parallel:
             first_parallel = parallel.execute_batch(workload, compute_exact=False)
             warm_parallel = parallel.execute_batch(workload, compute_exact=False)
-        _assert_equivalent(first_serial.results, first_parallel.results)
-        _assert_equivalent(warm_serial.results, warm_parallel.results)
+        _assert_equivalent(first_serial.results, first_parallel.results, over_wire=True)
+        _assert_equivalent(warm_serial.results, warm_parallel.results, over_wire=True)
         assert warm_serial.fully_cached_queries == len(workload)

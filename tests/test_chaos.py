@@ -263,21 +263,22 @@ def test_answer_phase_drop_degrades_with_bit_identical_survivors(chaos_trace):
     chaos_trace(system.aggregator.fault_injector)
     assert degraded.degraded and degraded.degraded_queries == len(QUERIES)
     assert degraded.providers_missing == ("provider-1",)
-    baseline_reports = {
-        (index, report.provider_id): report.released_value
+    baseline_releases = {
+        (index, release.provider_id): (release, local)
         for index, result in enumerate(baseline.results)
-        for report in result.provider_reports
+        for release, local in zip(result.provider_releases, result.provider_diagnostics)
     }
     for index, result in enumerate(degraded.results):
-        assert {report.provider_id for report in result.provider_reports} == {
+        assert {release.provider_id for release in result.provider_releases} == {
             "provider-0",
             "provider-2",
         }
-        for report in result.provider_reports:
+        for release, local in zip(result.provider_releases, result.provider_diagnostics):
             # Answer-phase faults leave the summary phase (and therefore the
             # coupled allocation solve) untouched, so every surviving
-            # provider's released answer is bit-identical to the no-fault run.
-            assert report.released_value == baseline_reports[(index, report.provider_id)]
+            # provider's release — and, in-process, its diagnostics — is
+            # bit-identical to the no-fault run.
+            assert (release, local) == baseline_releases[(index, release.provider_id)]
         # Survivors delivered both phases fresh: the parallel-composition
         # charge is the full per-query budget, exactly.
         assert result.epsilon_spent == pytest.approx(1.0)
@@ -452,7 +453,8 @@ def test_permanent_crash_degrades_batch_then_next_batch_heals(chaos_trace):
         # next batch's entry and the federation heals without a rebuild.
         second = system.execute_batch(QUERIES, compute_exact=False)
         assert not second.degraded
-        assert len(second.results[0].provider_reports) == 3
+        assert len(second.results[0].provider_releases) == 3
+        assert second.results[0].provider_diagnostics is None  # behind a pipe
 
 
 # -- resource safety (satellite: shm leak regression) ---------------------------
@@ -564,7 +566,7 @@ def test_failed_forget_kills_the_worker_and_the_federation_heals(chaos_trace, mo
         # The next batch respawns it and answers in full ...
         healed = system.execute_batch(QUERIES, compute_exact=False)
         assert not healed.degraded
-        assert len(healed.results[0].provider_reports) == 3
+        assert len(healed.results[0].provider_releases) == 3
         # ... and so does a compaction, which no leaked session blocks.
         receipts = system.ingest(_table(300))
         assert all(receipt.compacted for receipt in receipts)
@@ -614,16 +616,18 @@ def test_transport_disconnect_mid_answer_degrades_with_exact_actuals(kind, chaos
     chaos_trace(system.aggregator.fault_injector)
     assert degraded.degraded and degraded.providers_missing == ("provider-1",)
     baseline_values = {
-        (index, report.provider_id): report.released_value
+        (index, release.provider_id): release.released_value
         for index, result in enumerate(baseline.results)
-        for report in result.provider_reports
+        for release in result.provider_releases
     }
     for index, result in enumerate(degraded.results):
-        for report in result.provider_reports:
+        # Over a wire the providers' diagnostics never arrive.
+        assert result.provider_diagnostics is None and result.noise_injected is None
+        for release in result.provider_releases:
             # The disconnect fires on the aggregator side, before the
             # provider consumes any randomness: survivors' released answers
             # are bit-identical to the no-fault run over the same wire.
-            assert report.released_value == baseline_values[(index, report.provider_id)]
+            assert release.released_value == baseline_values[(index, release.provider_id)]
         # Honest charging under degradation: the survivors delivered both
         # phases, so the max-composed actual is the full per-query price.
         assert result.epsilon_spent == pytest.approx(1.0)

@@ -43,6 +43,11 @@ PINNED = {
     "serve_live": "26e1abd966f23bb2",
 }
 
+# Real framed bytes per query of the one socket workload at these sizes: a
+# count, not a timing, so a change that puts more on the wire fails here
+# too, not only against ``tools/check_e2e_digests.py``'s full-size ceiling.
+WIRE_BYTES = {"wire_socket": 1496.275}
+
 
 @pytest.fixture
 def workloads(monkeypatch):
@@ -60,3 +65,5 @@ def test_smoke_size_answers_digest_is_unchanged(name, workloads):
     result = workloads.run_workload(spec, inputs, setup_reps=1)
     assert result.correct, (result.checks, result.errors)
     assert result.answers_digest[:16] == PINNED[name]
+    if name in WIRE_BYTES:
+        assert result.metrics["wire_bytes_per_query"] == WIRE_BYTES[name]

@@ -564,9 +564,13 @@ def test_system_process_backend_survives_layout_rebuild():
 
 
 def _batch_fingerprint(batch) -> list[tuple]:
-    """Everything a transport could plausibly corrupt, per query."""
+    """Everything a transport could plausibly corrupt, per query.
+
+    The releases, not the noise: a provider's noise is a diagnostic that
+    exists in-process only, while what it released arrives on every carrier.
+    """
     return [
-        (result.value, result.epsilon_spent, result.delta_spent, result.noise_injected)
+        (result.value, result.epsilon_spent, result.delta_spent, result.provider_releases)
         for result in batch
     ]
 

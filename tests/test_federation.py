@@ -164,11 +164,16 @@ class TestDataProvider:
         summary = provider.prepare_summary(request, epsilon_allocation=budget.epsilon_allocation)
         assert summary.provider_id == "p0"
         allocation = AllocationMessage(query_id=1, provider_id="p0", sample_size=5)
-        answer = provider.answer(allocation, budget)
-        assert answer.report.approximated
-        assert answer.report.sampled_clusters <= 5
-        assert answer.report.rows_scanned <= provider.num_rows
-        assert np.isfinite(answer.message.value)
+        diagnostics = []
+        message = provider.answer(allocation, budget, diagnostics_out=diagnostics)
+        (local,) = diagnostics
+        assert message.approximated
+        assert local.sampled_clusters <= 5
+        assert local.rows_scanned <= provider.num_rows
+        assert np.isfinite(message.value)
+        # The plain path releases the noised value and nothing else.
+        assert message.smooth_sensitivity is None
+        assert message.value == local.local_estimate + local.local_noise
 
     def test_exact_path_when_few_covering_clusters(self, small_table, budget):
         provider = DataProvider(
@@ -184,11 +189,14 @@ class TestDataProvider:
         query = RangeQuery.count({"age": (0, 1)})
         request = QueryRequest(query_id=7, query=query, sampling_rate=0.3)
         provider.prepare_summary(request, epsilon_allocation=0.1)
-        answer = provider.answer(
-            AllocationMessage(query_id=7, provider_id="p1", sample_size=2), budget
+        diagnostics = []
+        message = provider.answer(
+            AllocationMessage(query_id=7, provider_id="p1", sample_size=2),
+            budget,
+            diagnostics_out=diagnostics,
         )
-        assert not answer.report.approximated
-        assert answer.report.exact_local_answer == provider.exact_answer(query).value
+        assert not message.approximated
+        assert diagnostics[0].exact_local_answer == provider.exact_answer(query).value
 
     def test_answer_without_summary_raises(self, provider, budget):
         with pytest.raises(ProtocolError):
@@ -200,13 +208,17 @@ class TestDataProvider:
         query = RangeQuery.count({"age": (10, 80)})
         request = QueryRequest(query_id=2, query=query, sampling_rate=0.3)
         provider.prepare_summary(request, epsilon_allocation=0.1)
-        answer = provider.answer(
+        diagnostics = []
+        message = provider.answer(
             AllocationMessage(query_id=2, provider_id="p0", sample_size=4),
             budget,
             use_smc=True,
+            diagnostics_out=diagnostics,
         )
-        assert answer.report.local_noise == 0.0
-        assert answer.message.value == pytest.approx(answer.report.local_estimate)
+        assert diagnostics[0].local_noise == 0.0
+        assert message.value == pytest.approx(diagnostics[0].local_estimate)
+        # secure_max needs the sensitivity: under SMC it travels (as shares).
+        assert message.smooth_sensitivity == diagnostics[0].smooth_sensitivity
 
     def test_forget_clears_session(self, provider, budget):
         query = RangeQuery.count({"age": (10, 80)})
@@ -249,7 +261,8 @@ class TestAggregator:
         aggregator = Aggregator(providers=providers, config=small_config, rng=0)
         budget = QueryBudget(0.1, 0.1, 0.8, 1e-3)
         answer = aggregator.execute_query(RangeQuery.count({"age": (10, 80)}), budget)
-        assert len(answer.provider_reports) == 4
+        assert len(answer.provider_releases) == 4
+        assert len(answer.provider_diagnostics) == 4
         assert answer.trace.messages_sent > 0
         assert answer.trace.bytes_sent > 0
         assert answer.trace.clusters_available == sum(p.num_clusters for p in providers)

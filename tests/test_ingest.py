@@ -17,6 +17,8 @@ across compactions, empty-born providers, and the scheduler's ingest queue.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -76,6 +78,13 @@ def keyed_requests(queries, base: int = 0):
     ]
 
 
+class LocalAnswer(NamedTuple):
+    """One query's release next to the provider's diagnostics of it."""
+
+    message: object
+    diagnostics: object
+
+
 def run_protocol(provider: DataProvider, queries, *, ingest_between: Table | None = None):
     """Drive summary -> (optional ingest) -> answer with keyed streams."""
     requests = keyed_requests(queries)
@@ -88,9 +97,10 @@ def run_protocol(provider: DataProvider, queries, *, ingest_between: Table | Non
         AllocationMessage(query_id=request.query_id, provider_id="p0", sample_size=2)
         for request in requests
     ]
-    answers = provider.answer_batch(allocations, BUDGET)
+    diagnostics: list = []
+    messages = provider.answer_batch(allocations, BUDGET, diagnostics_out=diagnostics)
     provider.forget_batch([request.query_id for request in requests])
-    return summaries, answers
+    return summaries, [LocalAnswer(*pair) for pair in zip(messages, diagnostics)]
 
 
 QUERIES = [
@@ -245,11 +255,11 @@ class TestSnapshotIsolation:
         summaries_b, answers_b = run_protocol(busy, QUERIES, ingest_between=extra)
         assert summaries_a == summaries_b
         assert [a.message for a in answers_a] == [a.message for a in answers_b]
-        assert [a.report for a in answers_a] == [a.report for a in answers_b]
+        assert [a.diagnostics for a in answers_a] == [a.diagnostics for a in answers_b]
         # The ingest did land: the next batch sees the new watermark.
         assert busy.delta_watermark == 60
         _, later = run_protocol(busy, QUERIES)
-        assert later[2].report.rows_available == 180
+        assert later[2].diagnostics.rows_available == 180
 
     def test_sessions_pin_watermark_at_summary_time(self):
         provider = make_provider(make_table(64, 1))
@@ -269,7 +279,10 @@ class TestSnapshotIsolation:
         provider.ingest_rows(make_table(30, 2), auto_compact=False)
         _, after = run_protocol(provider, full_box)
         # Same keyed noise stream, 30 more represented individuals exactly.
-        assert after[0].report.rows_available - before[0].report.rows_available == 30
+        assert (
+            after[0].diagnostics.rows_available - before[0].diagnostics.rows_available
+            == 30
+        )
 
     def test_compact_refuses_open_sessions(self):
         provider = make_provider(make_table(64, 1))
@@ -669,7 +682,7 @@ class TestEmptyBornProvider:
         assert empty.num_rows == 0
         assert empty.exact_answer(QUERIES[2]).value == 0
         _, answers = run_protocol(empty, QUERIES)
-        assert all(answer.report.rows_available == 0 for answer in answers)
+        assert all(answer.diagnostics.rows_available == 0 for answer in answers)
         rows = make_table(30, 2)
         empty.ingest_rows(rows, auto_compact=False)
         assert empty.exact_answer(QUERIES[2]).value == 30

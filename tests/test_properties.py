@@ -568,21 +568,21 @@ def test_answer_phase_faults_leave_survivors_bit_identical(seed):
     baseline = {}
     for answer in healthy:
         for query_index, result in enumerate(answer.results):
-            for report in result.provider_reports:
+            for release in result.provider_releases:
                 key = (answer.tenant_id, answer.submission_id, query_index)
-                baseline[key + (report.provider_id,)] = report.released_value
+                baseline[key + (release.provider_id,)] = release.released_value
     compared = 0
     for answer in chaotic:
         for query_index, result in enumerate(answer.results):
-            for report in result.provider_reports:
+            for release in result.provider_releases:
                 key = (
                     answer.tenant_id,
                     answer.submission_id,
                     query_index,
-                    report.provider_id,
+                    release.provider_id,
                 )
                 assert result.value == result.value  # NaN guard
-                assert report.released_value == baseline[key]
+                assert release.released_value == baseline[key]
                 compared += 1
     assert compared > 0
 

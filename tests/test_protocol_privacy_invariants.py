@@ -36,17 +36,17 @@ QUERY = RangeQuery.count({"age": (10, 80)})
 class TestReleasesAreNoised:
     def test_released_values_differ_from_local_exact_answers(self, system):
         result = system.execute(QUERY)
-        for provider, report in zip(system.providers, result.provider_reports):
+        for provider, release in zip(system.providers, result.provider_releases):
             local_exact = provider.exact_answer(QUERY).value
             # The value put on the wire is the noised estimate, which should
             # essentially never equal the exact local answer.
-            assert report.released_value != local_exact
+            assert release.released_value != local_exact
 
     def test_approximated_providers_do_not_scan_everything(self, system):
         result = system.execute(QUERY, sampling_rate=0.2)
-        for report in result.provider_reports:
-            if report.approximated:
-                assert report.rows_scanned < report.rows_available
+        for release, local in zip(result.provider_releases, result.provider_diagnostics):
+            if release.approximated:
+                assert local.rows_scanned < local.rows_available
 
     def test_randomness_differs_across_repetitions(self, system):
         values = {round(system.execute(QUERY, compute_exact=False).value, 6) for _ in range(5)}
@@ -95,7 +95,7 @@ class TestSMCPath:
         result = system.execute(QUERY, use_smc=True, compute_exact=False)
         assert result.used_smc
         # Providers do not add local noise in the SMC configuration.
-        assert all(report.local_noise == 0.0 for report in result.provider_reports)
+        assert all(local.local_noise == 0.0 for local in result.provider_diagnostics)
         assert result.noise_injected != 0.0
 
     def test_smc_and_plain_paths_agree_up_to_noise(self, system):
@@ -136,6 +136,9 @@ class TestTraceConsistency:
 
     def test_provider_reports_cover_every_provider(self, system):
         result = system.execute(QUERY, compute_exact=False)
-        assert {report.provider_id for report in result.provider_reports} == {
+        assert {release.provider_id for release in result.provider_releases} == {
             provider.provider_id for provider in system.providers
         }
+        assert [local.provider_id for local in result.provider_diagnostics] == [
+            release.provider_id for release in result.provider_releases
+        ]

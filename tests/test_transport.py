@@ -5,11 +5,15 @@ Three concerns, in order of how the wire can betray you:
 1. **Codec losslessness** — Hypothesis round-trip properties for *every*
    protocol message class (``ALL_MESSAGE_TYPES`` is iterated, so a new
    message cannot be added without a property here failing to cover it),
-   plus the value types they carry (queries, budgets, reports, degraded
-   local answers) and whole phase payloads including empty batches.  The
-   per-object codec the column-block one replaced stays here as the
-   reference: both must hand back the value they were given, bit for bit,
-   and a malformed block must be refused with a typed error.
+   plus the value types they carry (queries, intervals, budgets) and whole
+   phase payloads including empty batches; blocks whose columns mix signed
+   zeros, NaN, infinities and subnormals, bools beside ints, or hold one
+   value throughout.  The per-object codec the column-block one replaced
+   stays here as the reference: both must hand back the value they were
+   given, bit for bit.  A malformed or hostile block (a row count that
+   lies, a constant that is not a value, packed doubles of the wrong
+   size) must be refused with a typed error before it allocates beyond
+   its frame, and a provider's diagnostics are refused, never dropped.
 2. **Framer robustness** — partial-frame reads, truncated streams, garbage
    bytes, and hostile length prefixes must produce buffered waits or typed
    errors, never hangs or unbounded allocation; well-framed but hostile
@@ -40,7 +44,7 @@ from hypothesis import strategies as st
 
 from repro.config import IngestConfig, SamplingConfig, SystemConfig, TransportConfig
 from repro.core.accounting import QueryBudget
-from repro.core.result import ProviderReport
+from repro.core.result import ProviderDiagnostics, ProviderRelease
 from repro.core.system import FederatedAQPSystem
 from repro.errors import ConfigurationError, ProtocolError, TransportError
 from repro.federation.messages import (
@@ -52,7 +56,6 @@ from repro.federation.messages import (
     QueryRequest,
     SummaryMessage,
 )
-from repro.federation.provider import LocalAnswer
 from repro.federation.transport import (
     DEFAULT_MAX_FRAME_BYTES,
     FrameDecoder,
@@ -126,7 +129,7 @@ _estimates = st.builds(
     query_id=_ids,
     provider_id=_provider_ids,
     value=_floats,
-    smooth_sensitivity=_floats,
+    smooth_sensitivity=st.none() | _floats,
     approximated=st.booleans(),
 )
 _ingest_requests = st.builds(
@@ -149,23 +152,29 @@ _MESSAGE_STRATEGIES = {
     IngestAck: _ingest_acks,
 }
 
-# Degraded local answers: a provider that approximated nothing (zero
-# allocation, zero sampled clusters) still serialises exactly.
-_reports = st.builds(
-    ProviderReport,
-    provider_id=_provider_ids,
-    covering_clusters=_ids,
-    allocation=_ids,
-    sampled_clusters=_ids,
-    approximated=st.booleans(),
-    local_estimate=_floats,
-    local_noise=_floats,
-    smooth_sensitivity=_floats,
-    rows_scanned=_ids,
-    rows_available=_ids,
-    exact_local_answer=st.none() | st.integers(min_value=-(2**53), max_value=2**53),
-)
-_local_answers = st.builds(LocalAnswer, message=_estimates, report=_reports)
+# What never crosses: a provider's own account of its answer, and the
+# aggregator's record of a release (built from messages it already holds).
+_PROVIDER_LOCAL = {
+    "ProviderDiagnostics": st.builds(
+        ProviderDiagnostics,
+        provider_id=_provider_ids,
+        local_estimate=_floats,
+        local_noise=_floats,
+        smooth_sensitivity=_floats,
+        covering_clusters=_ids,
+        sampled_clusters=_ids,
+        rows_scanned=_ids,
+        rows_available=_ids,
+        exact_local_answer=st.none() | st.integers(min_value=-(2**53), max_value=2**53),
+    ),
+    "ProviderRelease": st.builds(
+        ProviderRelease,
+        provider_id=_provider_ids,
+        allocation=_ids,
+        approximated=st.booleans(),
+        released_value=_floats,
+    ),
+}
 _budgets = st.builds(
     QueryBudget,
     epsilon_allocation=st.floats(min_value=0.0, max_value=10.0),
@@ -209,16 +218,17 @@ def test_summary_phase_payload_roundtrip(requests, budget):
     assert _wire_roundtrip(payload) == payload
 
 
-@given(st.lists(_local_answers, max_size=4), _budgets)
-def test_answer_phase_payload_roundtrip(answers, budget):
-    # Reply shape of the answer phase — degraded answers (approximated
-    # False, zero allocations) and the empty batch included.
-    payload = {"answers": answers, "reuse": [False] * len(answers), "budget": budget}
+@given(st.lists(_estimates, max_size=4), _budgets)
+def test_answer_phase_payload_roundtrip(estimates, budget):
+    # Reply shape of the answer phase: the estimates and the reuse flags,
+    # nothing else — plain estimates (no sensitivity), SMC ones, degraded
+    # ones (approximated False) and the empty batch included.
+    payload = {"answers": estimates, "reuse": [False] * len(estimates), "budget": budget}
     decoded = _wire_roundtrip(payload)
     assert decoded == payload
-    for original, restored in zip(answers, decoded["answers"]):
-        assert type(restored) is LocalAnswer
-        assert repr(restored.message.value) == repr(original.message.value)
+    for original, restored in zip(estimates, decoded["answers"]):
+        assert type(restored) is EstimateMessage
+        assert _bits(restored) == _bits(original)
 
 
 @given(st.floats(allow_nan=False, allow_infinity=True))
@@ -263,7 +273,7 @@ def test_unserialisable_values_raise_typed_errors():
 
 _REFERENCE_CLASSES = {
     cls.__name__: cls
-    for cls in (*ALL_MESSAGE_TYPES, Interval, RangeQuery, QueryBudget, ProviderReport, LocalAnswer)
+    for cls in (*ALL_MESSAGE_TYPES, Interval, RangeQuery, QueryBudget)
 }
 
 
@@ -348,8 +358,6 @@ _VALUE_STRATEGIES = {
     ),
     "RangeQuery": _queries(),
     "QueryBudget": _budgets,
-    "ProviderReport": _reports,
-    "LocalAnswer": _local_answers,
 }
 # NaN has no bit-exact claim (see test_nan_roundtrips_as_nan); every other
 # double does, infinities and signed zeros included.
@@ -424,23 +432,55 @@ def test_seed_material_and_trace_context_ride_a_block(requests, trace_context):
         assert type(restored.query.ranges) is dict
 
 
+def _packed(*values: float) -> dict:
+    return {"__d__": base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode()}
+
+
 def test_a_block_names_its_class_once_and_keeps_scalar_columns_plain():
+    # Class and row count once; a varying int or str column stays a plain
+    # array, a constant one goes once, a float column as packed doubles.
     allocations = [
         AllocationMessage(query_id=i, provider_id="p", sample_size=i * i) for i in range(3)
     ]
     assert json.loads(serialize(allocations)) == {
         "__dc__": "AllocationMessage",
-        "__cols__": [[0, 1, 2], ["p", "p", "p"], [0, 1, 4]],
+        "__n__": 3,
+        "__cols__": [[0, 1, 2], {"__k__": "p"}, [0, 1, 4]],
+    }
+    summaries = [SummaryMessage(i, "p", float(i), 0.5) for i in range(2)]
+    assert json.loads(serialize(summaries)) == {
+        "__dc__": "SummaryMessage",
+        "__n__": 2,
+        "__cols__": [[0, 1], {"__k__": "p"}, _packed(0.0, 1.0), {"__k__": 0.5}],
+    }
+    # "Constant" means one bit pattern: 0.0 == -0.0, yet they are two values.
+    zeros = [SummaryMessage(i, "p", 0.0, (-0.0, 0.0)[i]) for i in range(2)]
+    assert json.loads(serialize(zeros))["__cols__"][2:] == [
+        {"__k__": 0.0},
+        _packed(-0.0, 0.0),
+    ]
+    estimates = [EstimateMessage(i, "p", -float(i), None, bool(i)) for i in range(2)]
+    assert json.loads(serialize(estimates)) == {
+        "__dc__": "EstimateMessage",
+        "__n__": 2,
+        "__cols__": [
+            [0, 1],
+            {"__k__": "p"},
+            _packed(-0.0, -1.0),
+            {"__k__": None},  # the plain path sends no sensitivity
+            [False, True],
+        ],
     }
     queries = [RangeQuery.count({"age": (1, 2)}), RangeQuery.sum({"age": (3, 4), "dept": (5, 6)})]
     assert json.loads(serialize(queries)) == {
         "__dc__": "RangeQuery",
+        "__n__": 2,
         "__cols__": [
             {"__en__": ["count", "sum"]},  # an enum column is its values
             {
                 "__maps__": [
                     [["age"], ["age", "dept"]],
-                    {"__dc__": "Interval", "__cols__": [[1, 3, 5], [2, 4, 6]]},
+                    {"__dc__": "Interval", "__n__": 3, "__cols__": [[1, 3, 5], [2, 4, 6]]},
                 ]
             },
             [None, "measure"],
@@ -458,6 +498,151 @@ def test_a_block_names_its_class_once_and_keeps_scalar_columns_plain():
     ]
 
 
+def _interval_block(rows, low, high) -> dict:
+    return {"__dc__": "Interval", "__n__": rows, "__cols__": [low, high]}
+
+
+def _summary_block(rows, counts) -> dict:
+    return {
+        "__dc__": "SummaryMessage",
+        "__n__": rows,
+        "__cols__": [list(range(rows)), {"__k__": "p"}, counts, {"__k__": 0.5}],
+    }
+
+
+# -- 1c. blocks of awkward values, and what the codec refuses to carry ------------
+
+# Doubles where ``==`` and bits disagree: signed zeros, infinities, the
+# smallest subnormal and normal, plus ordinary ones.  NaN is the canonical
+# quiet NaN here, so the reference codec (JSON's NaN token) agrees bit for
+# bit; payload NaNs are checked on their own below.
+_awkward_floats = st.sampled_from(
+    [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, -5e-324,
+     2.2250738585072014e-308, 1e-310, 1.0, 0.1]
+) | st.floats(allow_nan=False)
+_ints_or_bools = _ids | st.booleans()  # a bool beside ints in one column
+
+_FIELD_VALUES = {
+    "query_id": _ints_or_bools,
+    "provider_id": _provider_ids,
+    "query": _queries(),
+    "sampling_rate": _awkward_floats,
+    "seed_material": st.none() | st.lists(_ids, max_size=3).map(tuple),
+    "trace_context": st.none() | st.tuples(st.text(max_size=4), st.text(max_size=4)),
+    "noisy_cluster_count": _awkward_floats,
+    "noisy_avg_proportion": _awkward_floats,
+    "sample_size": _ints_or_bools,
+    "value": _awkward_floats,
+    "smooth_sensitivity": st.none() | _awkward_floats,
+    "approximated": st.booleans() | _ids,
+    "num_rows": _ints_or_bools,
+    "num_columns": _ids,
+    "delta_watermark": _ints_or_bools,
+    "layout_epoch": _ids,
+    "compacted": st.booleans(),
+}
+
+
+@st.composite
+def _awkward_blocks(draw, cls):
+    """2-8 messages whose columns are each drawn per row, or one value
+    repeated down the column, or all ``None`` — the shapes the codec
+    encodes differently."""
+    rows = draw(st.integers(min_value=2, max_value=8))
+    columns = []
+    for field in dataclasses.fields(cls):
+        values = _FIELD_VALUES[field.name]
+        shape = draw(st.sampled_from(["each", "same", "none"]))
+        if shape == "each":
+            columns.append(draw(st.lists(values, min_size=rows, max_size=rows)))
+        else:
+            one = None if shape == "none" else draw(values)
+            columns.append([one] * rows)
+    return [cls(*row) for row in zip(*columns)]
+
+
+def test_every_message_field_has_an_awkward_strategy():
+    assert {
+        field.name for cls in ALL_MESSAGE_TYPES for field in dataclasses.fields(cls)
+    } == set(_FIELD_VALUES)
+
+
+@pytest.mark.parametrize(
+    "message_type", ALL_MESSAGE_TYPES, ids=[cls.__name__ for cls in ALL_MESSAGE_TYPES]
+)
+def test_blocks_of_awkward_values_roundtrip_bit_for_bit(message_type):
+    @given(_awkward_blocks(message_type))
+    def check(messages):
+        _assert_codecs_agree(messages)
+        _assert_codecs_agree({"answers": messages, "reuse": [True] * len(messages)})
+
+    check()
+
+
+def test_packed_columns_keep_every_nan_payload():
+    # JSON's NaN token is one NaN; a packed column is eight bytes a value.
+    payloads = (0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123)
+    nans = [struct.unpack("<d", struct.pack("<Q", bits))[0] for bits in payloads]
+    for column in (nans, [nans[1], nans[1]], [-0.0, 0.0, *nans]):
+        messages = [EstimateMessage(i, "p", value, None, True) for i, value in enumerate(column)]
+        assert _bits(_wire_roundtrip(messages)) == _bits(messages)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, "n"])
+@pytest.mark.parametrize("name", sorted(_PROVIDER_LOCAL))
+def test_provider_local_values_are_refused_not_dropped(name, size):
+    """Neither a provider's diagnostics nor the aggregator's record of a
+    release is a wire type: serialising one raises a typed error — alone,
+    in a list, or beside ``size`` released estimates in an answer reply —
+    instead of the reply quietly going out without it."""
+    from repro.federation import transport
+
+    low, high = (3, 9) if size == "n" else (size, size)
+    assert name not in transport._WIRE_DATACLASSES
+    refusal = "provider-local" if name == "ProviderDiagnostics" else "cannot serialise"
+
+    @given(st.lists(_estimates, min_size=low, max_size=high), _PROVIDER_LOCAL[name])
+    def check(estimates, local):
+        reuse = [False] * len(estimates)
+        for payload in (
+            local,
+            [local, local],
+            [*estimates, local],
+            {"answers": estimates, "reuse": reuse, "diagnostics": [local]},
+            {"seq": 1, "ok": {"answers": [local, *estimates], "reuse": [False, *reuse]}},
+        ):
+            with pytest.raises(TransportError, match=refusal):
+                serialize(payload)
+
+    check()
+
+
+def test_row_counts_are_bounded_by_the_frame_not_by_the_claim():
+    # A constant column costs no bytes per row.  Without a bound, a few
+    # bytes could ask for a billion objects; with it, the blocks of one
+    # frame build at most as many rows as the frame has bytes, together.
+    import tracemalloc
+
+    hostile = json.dumps(_interval_block(10**9, {"__k__": 1}, {"__k__": 2})).encode()
+    tracemalloc.start()
+    try:
+        with pytest.raises(TransportError, match="exceeds what the frame can carry"):
+            deserialize(hostile)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    honest = _interval_block(20, {"__k__": 1}, {"__k__": 2})
+    assert deserialize(json.dumps(honest).encode()) == [Interval(1, 2)] * 20
+    # Each block alone fits its frame; the budget is shared, so many do not.
+    many = json.dumps([honest] * 8).encode()
+    assert 20 * 8 <= len(many)
+    assert len(deserialize(many)) == 8
+    greedy = [_interval_block(len(many) // 3, {"__k__": 1}, {"__k__": 2})] * 8
+    with pytest.raises(TransportError, match="exceeds what the frame can carry"):
+        deserialize(json.dumps(greedy).encode())
+
+
 _MALFORMED = {
     "row with too few fields": {"__dc__": "Interval", "__f__": [1]},
     "row with too many fields": {"__dc__": "Interval", "__f__": [1, 2, 3]},
@@ -466,27 +651,67 @@ _MALFORMED = {
     "row a constructor rejects": {"__dc__": "Interval", "__f__": [5, 1]},
     "row of an unknown class": {"__dc__": "Intervall", "__f__": [1, 2]},
     "row of an unhashable class": {"__dc__": ["Interval"], "__f__": [1, 2]},
+    "row of provider diagnostics": {"__dc__": "ProviderDiagnostics", "__f__": [0] * 9},
     "query without ranges": {"__dc__": "RangeQuery", "__f__": [{"__en__": "count"}, {}, None]},
-    "block with too few columns": {"__dc__": "Interval", "__cols__": [[1, 2]]},
-    "block with too many columns": {"__dc__": "Interval", "__cols__": [[1], [2], [3]]},
-    "block with ragged columns": {"__dc__": "Interval", "__cols__": [[1, 2, 3], [4, 5]]},
-    "block with a scalar column": {"__dc__": "Interval", "__cols__": [[1, 2], 7]},
-    "block with a string column": {"__dc__": "Interval", "__cols__": [[1, 2], "34"]},
-    "block with a mapping column": {"__dc__": "Interval", "__cols__": [[1, 2], {"a": 3}]},
-    "block with a row for a column": {
-        "__dc__": "LocalAnswer",
-        "__cols__": [[], {"__dc__": "Interval", "__f__": [1, 2]}],
-    },
-    "block of an unknown class": {"__dc__": "Table", "__cols__": [[1], [2]]},
-    "block a constructor rejects": {"__dc__": "Interval", "__cols__": [[1, 5], [2, 1]]},
+    "block with too few columns": {"__dc__": "Interval", "__n__": 2, "__cols__": [[1, 2]]},
+    "block with too many columns": {"__dc__": "Interval", "__n__": 1, "__cols__": [[1], [2], [3]]},
+    "block with ragged columns": _interval_block(3, [1, 2, 3], [4, 5]),
+    "block with a scalar column": _interval_block(2, [1, 2], 7),
+    "block with a string column": _interval_block(2, [1, 2], "34"),
+    "block with a mapping column": _interval_block(2, [1, 2], {"a": 3}),
+    "block with a row for a column": _interval_block(
+        1, [1], {"__dc__": "Interval", "__f__": [1, 2]}
+    ),
+    "block of an unknown class": {"__dc__": "Table", "__n__": 1, "__cols__": [[1], [2]]},
+    "block of a retired class": {"__dc__": "LocalAnswer", "__n__": 0, "__cols__": [[], []]},
+    "block a constructor rejects": _interval_block(2, [1, 5], [2, 1]),
     "block with too few enum values": {
         "__dc__": "RangeQuery",
+        "__n__": 2,
         "__cols__": [{"__en__": ["count"]}, [{"a": [1, 2]}, {"a": [1, 2]}], [None, None]],
     },
     "block with one enum value for a column": {
         "__dc__": "RangeQuery",
+        "__n__": 1,
         "__cols__": [{"__en__": "count"}, [{"a": [1, 2]}], [None]],
     },
+    # __n__ is the only length the decoder trusts: it must be a row count
+    # the frame can pay for, and every column must agree with it.
+    "block without a row count": {"__dc__": "Interval", "__cols__": [[1, 3], [2, 4]]},
+    "row count negative": _interval_block(-1, [], []),
+    "row count a bool": _interval_block(True, [1], [2]),
+    "row count a float": _interval_block(2.0, [1, 3], [2, 4]),
+    "row count a string": _interval_block("2", [1, 3], [2, 4]),
+    "row count larger than the frame": _interval_block(
+        10**9, {"__k__": 1}, {"__k__": 2}
+    ),
+    "row count beyond any frame": _interval_block(2**64, {"__k__": 1}, {"__k__": 2}),
+    "columns longer than the row count": _interval_block(1, [1, 3], [2, 4]),
+    "columns shorter than the row count": _interval_block(3, [1, 3], [2, 4]),
+    "nested block disagreeing with the row count": {
+        "__dc__": "RangeQuery",
+        "__n__": 2,
+        "__cols__": [
+            {"__en__": ["count", "count"]},
+            {"__maps__": [[["a"], ["a"]], _interval_block(3, [1, 2, 3], [4, 5, 6])]},
+            {"__k__": None},
+        ],
+    },
+    "constant column holding a list": _interval_block(2, {"__k__": [1]}, [2, 3]),
+    "constant column holding a dict": _interval_block(2, {"__k__": {"a": 1}}, [2, 3]),
+    "constant column holding a tagged value": _interval_block(
+        2, {"__k__": {"__tu__": [1]}}, [2, 3]
+    ),
+    "constant column with a second key": _interval_block(
+        2, {"__k__": 1, "__n__": 2}, [2, 3]
+    ),
+    "constant outside a block": {"__k__": 1},
+    "packed column of bad base64": _summary_block(1, {"__d__": "!!!!!!!!!!!!"}),
+    "packed column too long": _summary_block(1, _packed(1.0, 2.0)),
+    "packed column too short": _summary_block(2, _packed(1.0)),
+    "packed column misplaced padding": _summary_block(1, {"__d__": "AAAAAAAA===="}),
+    "packed column not a string": _summary_block(1, {"__d__": 5}),
+    "packed outside a block": _packed(1.0),
     "columns without a class": {"__cols__": [[1], [2]]},
     "fields without a class": {"__f__": [1, 2]},
     "mappings with too few values": {"__maps__": [[["a", "b"], ["c"]], [1, 2]]},
@@ -513,7 +738,10 @@ def test_malformed_wire_values_are_refused_with_a_typed_error(name):
             deserialize(json.dumps(wire).encode("utf-8"))
 
 
-@pytest.mark.parametrize("key", ["__dc__", "__f__", "__cols__", "__maps__", "__tu__", "__nd__", "__en__"])
+@pytest.mark.parametrize(
+    "key",
+    ["__dc__", "__f__", "__cols__", "__n__", "__k__", "__d__", "__maps__", "__tu__", "__nd__", "__en__"],
+)
 def test_reserved_keys_in_a_mapping_are_refused_on_the_way_out(key):
     for value in ({key: 1}, [{key: 1}, {"fine": 2}], {"nested": ({"fine": 1}, {key: 2})}):
         with pytest.raises(TransportError, match="reserved"):
@@ -623,7 +851,7 @@ _UNDECODABLE_VALUES = {
     "interval-low-above-high": b'{"__dc__":"Interval","__f__":[5,1]}',  # was QueryError
     "query-without-ranges": b'{"__dc__":"RangeQuery","__f__":[{"__en__":"count"},{},null]}',
     "fields-of-the-wrong-shape": b'{"__dc__":"Interval","__f__":{"low":1,"high":2}}',  # was AttributeError
-    "block-a-constructor-rejects": b'{"__dc__":"Interval","__cols__":[[1,5],[2,1]]}',
+    "block-a-constructor-rejects": b'{"__dc__":"Interval","__n__":2,"__cols__":[[1,5],[2,1]]}',
 }
 _HOSTILE_ENVELOPES += [
     pytest.param(_request_carrying(value, seq=seq), seq, id=f"{name}-{seq}")

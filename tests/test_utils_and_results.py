@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.result import ExecutionTrace, ProviderReport, QueryResult
+from repro.core.result import ExecutionTrace, ProviderRelease, QueryResult
 from repro.federation.messages import (
     AllocationMessage,
     EstimateMessage,
@@ -112,24 +112,24 @@ class TestMessages:
 
 
 class TestResultObjects:
-    def _report(self, **overrides) -> ProviderReport:
-        values = dict(
-            provider_id="p0",
-            covering_clusters=10,
-            allocation=3,
-            sampled_clusters=3,
-            approximated=True,
-            local_estimate=100.0,
-            local_noise=5.0,
-            smooth_sensitivity=2.0,
-            rows_scanned=300,
-            rows_available=1000,
+    def _release(self) -> ProviderRelease:
+        return ProviderRelease(
+            provider_id="p0", allocation=3, approximated=True, released_value=105.0
         )
-        values.update(overrides)
-        return ProviderReport(**values)
 
-    def test_released_value_includes_noise(self):
-        assert self._report().released_value == pytest.approx(105.0)
+    def test_released_value_includes_noise(self, small_system):
+        # The release is what the aggregator received; in-process, each
+        # provider's diagnostics show it is the estimate plus that
+        # provider's own noise — and the noise sum is the query's.
+        result = small_system.execute(RangeQuery.count({"age": (10, 80)}))
+        assert len(result.provider_diagnostics) == len(result.provider_releases) == 4
+        for release, local in zip(result.provider_releases, result.provider_diagnostics):
+            assert local.provider_id == release.provider_id
+            assert local.local_noise != 0.0
+            assert release.released_value == local.local_estimate + local.local_noise
+        assert result.noise_injected == sum(
+            local.local_noise for local in result.provider_diagnostics
+        )
 
     def test_trace_totals_and_work_fraction(self):
         trace = ExecutionTrace(
@@ -150,7 +150,7 @@ class TestResultObjects:
             epsilon_spent=1.0,
             delta_spent=1e-3,
             used_smc=False,
-            provider_reports=(self._report(),),
+            provider_releases=(self._release(),),
             trace=ExecutionTrace(),
             exact_value=100,
         )
@@ -166,7 +166,7 @@ class TestResultObjects:
             epsilon_spent=1.0,
             delta_spent=1e-3,
             used_smc=False,
-            provider_reports=(),
+            provider_releases=(),
             trace=ExecutionTrace(),
             exact_value=None,
         )
@@ -181,7 +181,7 @@ class TestResultObjects:
             epsilon_spent=1.0,
             delta_spent=1e-3,
             used_smc=False,
-            provider_reports=(),
+            provider_releases=(),
             trace=ExecutionTrace(),
             exact_value=0,
         )
